@@ -11,6 +11,7 @@ from .distributions import (
     cdf,
     conditional_positive,
     even_distribution,
+    law,
     odd_distribution,
     pgf,
 )
@@ -101,6 +102,7 @@ __all__ = [
     "format_poly",
     "initial_slice",
     "lagrange_series",
+    "law",
     "legendre",
     "nonneg_series",
     "odd_distribution",

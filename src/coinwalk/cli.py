@@ -14,7 +14,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .distributions import cdf, conditional_positive, even_distribution, odd_distribution, pgf
+from .distributions import cdf, conditional_positive, law, pgf
 from .errors import CoinwalkError
 from .lattice import dp_pgf
 from .legendre import lagrange_series
@@ -29,7 +29,7 @@ from .series import (
     pgf_series_odd_ratio,
     pgf_series_ratio,
 )
-from .verify import run_verify
+from .verify import SECTIONS, run_verify
 
 _SERIES_BUILDERS = {
     "even": pgf_series_even,
@@ -56,6 +56,16 @@ def _emit(rows: list[dict], fieldnames: list[str], fmt: str):
         writer.writerows(rows)
 
 
+def _emit_values(tables, fmt: str):
+    """Emit (n, values) pairs as the fixed n, index, exact, decimal value table."""
+    rows = [
+        {"n": n, "index": j, "exact": str(v), "decimal": _dec(v)}
+        for n, values in tables
+        for j, v in enumerate(values)
+    ]
+    _emit(rows, ["n", "index", "exact", "decimal"], fmt)
+
+
 def _nonneg(text: str) -> int:
     value = int(text)
     if value < 0:
@@ -70,26 +80,22 @@ def _positive(text: str) -> int:
     return value
 
 
-def _distribution(m: int):
-    return even_distribution(m // 2) if m % 2 == 0 else odd_distribution((m - 1) // 2)
+def _fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a fraction: {text!r}") from None
 
 
 def cmd_dist(args) -> int:
-    dist = _distribution(args.n)
-    rows = [
-        {"n": args.n, "index": j, "exact": str(p), "decimal": _dec(p)}
-        for j, p in enumerate(dist.mass)
-    ]
-    if args.cumulative:
-        for row, c in zip(rows, cdf(dist)):
-            row["exact"], row["decimal"] = str(c), _dec(c)
-    _emit(rows, ["n", "index", "exact", "decimal"], args.format)
+    dist = law(args.n)
+    _emit_values([(args.n, cdf(dist) if args.cumulative else dist.mass)], args.format)
     return 0
 
 
 def cmd_pgf(args) -> int:
     if args.method == "closed":
-        poly = pgf(_distribution(args.n))
+        poly = pgf(law(args.n))
     elif args.method == "dp":
         poly = dp_pgf(args.n)
     elif args.method == "series":
@@ -99,32 +105,19 @@ def cmd_pgf(args) -> int:
     if args.format == "text":
         print(poly)
         return 0
-    rows = [
-        {"n": args.n, "index": j, "exact": str(c), "decimal": _dec(c)}
-        for j, c in enumerate(poly.coeffs)
-    ]
-    _emit(rows, ["n", "index", "exact", "decimal"], args.format)
+    _emit_values([(args.n, poly.coeffs)], args.format)
     return 0
 
 
 def cmd_series(args) -> int:
     series = _SERIES_BUILDERS[args.which](args.order)
-    rows = [
-        {"n": n, "index": j, "exact": str(c), "decimal": _dec(c)}
-        for n, poly in enumerate(series.coeffs)
-        for j, c in enumerate(poly.coeffs)
-    ]
-    _emit(rows, ["n", "index", "exact", "decimal"], args.format)
+    _emit_values(enumerate(poly.coeffs for poly in series.coeffs), args.format)
     return 0
 
 
 def cmd_oracle(args) -> int:
     dist = oracle_distribution(args.n, _RULES[args.rule], cap=args.cap)
-    rows = [
-        {"n": args.n, "index": j, "exact": str(p), "decimal": _dec(p)}
-        for j, p in enumerate(dist.mass)
-    ]
-    _emit(rows, ["n", "index", "exact", "decimal"], args.format)
+    _emit_values([(args.n, dist.mass)], args.format)
     return 0
 
 
@@ -164,9 +157,11 @@ def cmd_simulate(args) -> int:
     ]
     _emit(rows, ["index", "count", "freq"], args.format)
     if cfg.rule is PositivityRule.CHUNG_FELLER:
-        notes = [f"arcsine sup distance: {arcsine_sup_distance(hist):.6f}"]
+        notes = []
+        if args.m > 0:  # count/m is undefined for the empty walk
+            notes.append(f"arcsine sup distance: {arcsine_sup_distance(hist):.6f}")
         if args.m <= args.cap:
-            exact = _distribution(args.m)
+            exact = law(args.m)
             notes.append(f"tv distance to exact law: {tv_distance(hist, exact):.6f}")
         print("; ".join(notes), file=sys.stderr)
     return 0
@@ -232,8 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_conditional)
 
     p = sub.add_parser("lagrange", help="series coefficients of 1/sqrt(1-2az+(a^2-4b^2)z^2)")
-    p.add_argument("--a", type=Fraction, required=True)
-    p.add_argument("--b", type=Fraction, required=True)
+    p.add_argument("--a", type=_fraction, required=True)
+    p.add_argument("--b", type=_fraction, required=True)
     p.add_argument("--order", type=_nonneg, default=10, help="number of coefficients")
     add_format(p, choices=("text", "csv", "json"), default="text")
     p.set_defaults(func=cmd_lagrange)
@@ -250,8 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the cross-route verification harness")
     p.add_argument("--max-n", type=_nonneg, default=12)
     p.add_argument("--order", type=_positive, default=32)
-    p.add_argument("--sections", choices=("all", "even", "odd", "csaki", "cond", "legendre"),
-                   default="all")
+    p.add_argument("--sections", choices=SECTIONS, default="all")
     p.add_argument("--cap", type=_nonneg, default=DEFAULT_CAP)
     p.add_argument("--strict-csaki", action="store_true",
                    help="let the csaki check affect the exit code")

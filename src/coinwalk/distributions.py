@@ -69,6 +69,11 @@ def odd_distribution(n: int) -> Distribution:
     return Distribution.from_mass(mass)
 
 
+def law(m: int) -> Distribution:
+    """Law of the positive-step count over m tosses, of either parity."""
+    return even_distribution(m // 2) if m % 2 == 0 else odd_distribution((m - 1) // 2)
+
+
 def pgf(dist: Distribution) -> QPoly:
     """Probability generating function sum_j P(N=j) q^j; equals 1 at q=1."""
     return QPoly(dist.mass)

@@ -76,10 +76,7 @@ def dp_step(prev: LatticeSlice) -> LatticeSlice:
 
 def dp_pgf(n: int) -> QPoly:
     """p(n, 0): the PGF of the positive-step count over n steps, via DP alone."""
-    cur = initial_slice()
-    for _ in range(n):
-        cur = dp_step(cur)
-    return cur.value(0)
+    return dp_pgf_table(n)[n]
 
 
 def dp_pgf_table(n_max: int) -> list[QPoly]:

@@ -1,7 +1,7 @@
 """Legendre-polynomial identities for the walk PGFs.
 
-The even-length PGF (the z^{2n} series coefficient) is both a convolution of
-return probabilities and a scaled Legendre evaluation:
+The even-length PGF (the z^{2n} series coefficient) is both the closed law of
+`coinwalk.distributions` and a scaled Legendre evaluation:
 
     even_pgf(n) = sum_k return_prob(k) return_prob(n-k) q^{2k}
                 = q^n P_n((q + 1/q)/2)
@@ -16,9 +16,9 @@ in the argument variable.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
 
-from .qpoly import QPoly, Scalar, return_prob
+from .distributions import even_distribution, pgf
+from .qpoly import QPoly, Scalar
 
 _Q_PLUS_1 = QPoly((1, 1))
 
@@ -37,11 +37,8 @@ def legendre(n: int) -> QPoly:
 
 
 def even_pgf(n: int) -> QPoly:
-    """PGF of the positive-step count over 2n tosses, by convolution."""
-    coeffs = [Fraction(0)] * (2 * n + 1)
-    for k in range(n + 1):
-        coeffs[2 * k] = return_prob(k) * return_prob(n - k)
-    return QPoly(coeffs)
+    """PGF of the positive-step count over 2n tosses, from the closed law."""
+    return pgf(even_distribution(n))
 
 
 def even_pgf_via_legendre(n: int) -> QPoly:
@@ -102,13 +99,14 @@ def odd_pgf_via_parity_split(n: int) -> QPoly:
 def odd_masses_via_partial_sums(n: int) -> tuple[Fraction, ...]:
     """Coefficients of the (2n+1)-toss PGF from partial sums of w[2j, 2m].
 
-    With w[2j, 2m] = return_prob(j) return_prob(m-j):
+    With w[2j, 2m] = P(N_2m = 2j) = return_prob(j) return_prob(m-j), read off
+    the even laws:
         coeff(2i)   = sum_{j<=i} w[2j, 2n+2] - sum_{j<=i-1} w[2j, 2n]
         coeff(2i+1) = sum_{j<=i} w[2j, 2n]   - sum_{j<=i}   w[2j, 2n+2]
     No polynomial division at all; a third, purely additive route.
     """
-    w_2n = [return_prob(j) * return_prob(n - j) for j in range(n + 1)]
-    w_2n2 = [return_prob(j) * return_prob(n + 1 - j) for j in range(n + 2)]
+    w_2n = even_distribution(n).mass[::2]
+    w_2n2 = even_distribution(n + 1).mass[::2]
     out = [Fraction(0)] * (2 * n + 2)
     for i in range(n + 1):
         out[2 * i] = sum(w_2n2[: i + 1]) - sum(w_2n[:i])

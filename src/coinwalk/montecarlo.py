@@ -19,11 +19,11 @@ bit = +1.  Because every word is addressed absolutely, the histogram is
 bit-identical no matter how the sample range is partitioned into blocks,
 so any internal or concurrent blocking is invisible.
 
-Counting inside `simulate` is an independent vectorized implementation of
-the positivity rules; `walk_steps` reconstructs any sample's steps in plain
-Python so tests can re-count walks with the enumeration module's reference
-rule and catch any divergence.  Floating point appears only in the reporting
-helpers (`tv_distance`, `arcsine_sup_distance`), never in the counts.
+`simulate` counts with the enumeration module's vectorized kernel.  The
+independent references are `walk_steps`, which rebuilds any sample's steps in
+plain Python, and `count_positive`, the per-path rule the tests re-count walks
+with.  Floating point appears only in the reporting helpers (`tv_distance`,
+`arcsine_sup_distance`), never in the counts.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import numpy as np
 
 from .distributions import Distribution
 from .errors import DomainError
-from .oracle import PositivityRule
+from .oracle import PositivityRule, _count_walks
 
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -103,31 +103,20 @@ def simulate(cfg: SimConfig, block: int = _BLOCK) -> tuple[int, ...]:
     not affect the result (absolute word addressing).
     """
     m = cfg.m
-    nonneg = cfg.rule is PositivityRule.NON_NEGATIVE
-    size = m + 2 if nonneg else m + 1
+    size = m + 2 if cfg.rule is PositivityRule.NON_NEGATIVE else m + 1
     hist = np.zeros(size, dtype=np.int64)
-    if m == 0:
-        hist[1 if nonneg else 0] = cfg.samples
-        return tuple(int(c) for c in hist)
     # keep block * m bounded; harmless because results are block-invariant
-    block = max(1, min(block, (1 << 24) // m))
+    block = max(1, min(block, (1 << 24) // max(m, 1)))
     w = _words_per_walk(m)
     seed = np.uint64(cfg.seed & _MASK64)
     word_offsets = np.arange(w, dtype=np.uint64)
-    bit_shifts = np.arange(64, dtype=np.uint64)
     for start in range(0, cfg.samples, block):
         stop = min(start + block, cfg.samples)
         idx = np.arange(start, stop, dtype=np.uint64)[:, None] * np.uint64(w) + word_offsets
         words = _mix_block(seed + (idx + np.uint64(1)) * np.uint64(_GOLDEN))
-        bits = (words[:, :, None] >> bit_shifts) & np.uint64(1)
-        steps = bits.reshape(stop - start, w * 64)[:, :m].astype(np.int8) * 2 - 1
-        sums = steps.cumsum(axis=1, dtype=np.int32)
-        if nonneg:
-            counts = (sums >= 0).sum(axis=1) + 1
-        else:
-            prev = np.zeros_like(sums)
-            prev[:, 1:] = sums[:, :-1]
-            counts = ((sums > 0) | ((sums == 0) & (prev > 0))).sum(axis=1)
+        octets = words.astype("<u8", copy=False).view(np.uint8)
+        bits = np.unpackbits(octets, axis=1, count=m, bitorder="little")
+        counts, _ = _count_walks(bits, cfg.rule)
         hist += np.bincount(counts, minlength=size)
     return tuple(int(c) for c in hist)
 

@@ -2,10 +2,11 @@
 
 Deliberately dumb: every one of the 2^n paths is evaluated on its own, with
 no combinatorial shortcuts, so this module stays a trustworthy oracle for the
-closed forms.  Paths are encoded as integers 0..2^n-1, bit k giving the sign
-of step k+1 (set bit = +1).  The heavy loop runs in numpy over blocks of
-paths, which changes speed only; `count_positive` is the plain per-path
-reference implementation and the tests pin the vectorized histograms to it.
+closed forms.  Paths are uint32 ids 0..2^n-1 (so n <= 32), bit k giving the
+sign of step k+1 (set bit = +1).  The heavy loop runs in numpy over blocks of
+paths, which changes speed only; its kernel `_count_walks` also counts the
+Monte Carlo walks, and `count_positive` is the plain per-path reference the
+tests pin both routes' histograms to.
 
 Two counting rules:
 
@@ -27,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .distributions import Distribution
-from .errors import CapExceeded
+from .errors import CapExceeded, DomainError
 
 DEFAULT_CAP = 24
 
@@ -78,27 +79,39 @@ def enumerate_walks(n: int, rule: PositivityRule, cap: int = DEFAULT_CAP) -> Wal
     """Exact histogram over all 2^n equally likely sign sequences."""
     if n < 0:
         raise ValueError("n must be non-negative")
+    if n > 32:
+        raise DomainError(f"n={n} exceeds 32, the widest walk a uint32 path id encodes")
     if n > cap:
         raise CapExceeded(f"n={n} exceeds enumeration cap {cap} (2^{n} paths)")
     return _enumerate(n, rule)
+
+
+def _count_walks(bits: np.ndarray, rule: PositivityRule) -> tuple[np.ndarray, np.ndarray]:
+    """Counts and partial sums of walks given as uint8 0/1 step bits, one row each.
+
+    Set bit = +1.  The sums are int16 below 2^15 steps and int32 above: the
+    narrowest type that cannot overflow.
+    """
+    dtype = np.int16 if bits.shape[1] < 1 << 15 else np.int32
+    sums = (bits.view(np.int8) * 2 - 1).cumsum(axis=1, dtype=dtype)
+    if rule is PositivityRule.NON_NEGATIVE:
+        counts = (sums >= 0).sum(axis=1) + 1
+    else:
+        prev = np.zeros_like(sums)
+        prev[:, 1:] = sums[:, :-1]
+        counts = ((sums > 0) | ((sums == 0) & (prev > 0))).sum(axis=1)
+    return counts, sums
 
 
 @lru_cache(maxsize=None)
 def _enumerate(n: int, rule: PositivityRule) -> WalkStats:
     hist = np.zeros(n + 2, dtype=np.int64)
     joint = np.zeros(n + 2, dtype=np.int64)
-    shifts = np.arange(n, dtype=np.uint32)
     for start in range(0, 1 << n, _BLOCK):
         stop = min(start + _BLOCK, 1 << n)
-        paths = np.arange(start, stop, dtype=np.uint32)
-        steps = ((paths[:, None] >> shifts) & 1).astype(np.int8) * 2 - 1
-        sums = steps.cumsum(axis=1, dtype=np.int16)
-        if rule is PositivityRule.NON_NEGATIVE:
-            counts = (sums >= 0).sum(axis=1) + 1
-        else:
-            prev = np.zeros_like(sums)
-            prev[:, 1:] = sums[:, :-1]
-            counts = ((sums > 0) | ((sums == 0) & (prev > 0))).sum(axis=1)
+        ids = np.arange(start, stop, dtype="<u4").view(np.uint8).reshape(stop - start, 4)
+        bits = np.unpackbits(ids, axis=1, count=n, bitorder="little")
+        counts, sums = _count_walks(bits, rule)
         hist += np.bincount(counts, minlength=n + 2)
         if n >= 2:
             joint += np.bincount(counts[sums[:, n - 2] > 0], minlength=n + 2)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .distributions import even_distribution, odd_distribution, pgf
+from .distributions import law, pgf
 from .errors import CapExceeded
 from .lattice import dp_pgf_table
 from .legendre import (
@@ -42,7 +42,6 @@ from .qpoly import QPoly
 from .series import (
     BivariateSeries,
     nonneg_series,
-    pgf_series,
     pgf_series_even,
     pgf_series_odd,
     pgf_series_odd_ratio,
@@ -114,20 +113,15 @@ def _skipped(route: str, n: int) -> ReportRow:
     return ReportRow(route, n, "", "skipped:cap")
 
 
-def _closed_pgf(m: int) -> QPoly:
-    if m % 2 == 0:
-        return pgf(even_distribution(m // 2))
-    return pgf(odd_distribution((m - 1) // 2))
-
-
-def _check_parity(max_n: int, order: int, cap: int, parity: int,
-                  dp_table: list[QPoly], full: BivariateSeries) -> list[ReportRow]:
+def _check_parity(max_n: int, order: int, cap: int, parity: int, dp_table: list[QPoly],
+                  full: BivariateSeries, part: BivariateSeries) -> list[ReportRow]:
+    """Rows for every m of one parity; `part` is that parity's series expansion."""
     rows = []
-    part = pgf_series_even(order) if parity == 0 else pgf_series_odd(order)
     part_route = "series-even" if parity == 0 else "series-odd"
     odd_ratio = pgf_series_odd_ratio(order) if parity == 1 else None
     for m in range(parity, max_n + 1, 2):
-        closed = _closed_pgf(m)
+        closed_law = law(m)
+        closed = pgf(closed_law)
         rows.append(_compare("dp", m, dp_table[m], closed))
         if m < order:
             rows.append(_compare("series", m, full.coeff(m), closed))
@@ -151,7 +145,7 @@ def _check_parity(max_n: int, order: int, cap: int, parity: int,
             rows.append(_compare("identity-three-term", m, odd_pgf_via_three_term(n), closed))
             rows.append(_compare("identity-parity-split", m, odd_pgf_via_parity_split(n), closed))
             rows.append(_compare("partial-sums", m, odd_masses_via_partial_sums(n),
-                                 odd_distribution(n).mass))
+                                 closed_law.mass))
     return rows
 
 
@@ -217,11 +211,12 @@ def run_verify(max_n: int = 12, order: int = 32, sections: str = "all",
     try:
         if sections in ("all", "even", "odd"):
             dp_table = dp_pgf_table(max_n)
-            full = pgf_series(order)
+            even, odd = pgf_series_even(order), pgf_series_odd(order)
+            full = even + odd  # what pgf_series(order) returns
             if sections in ("all", "even"):
-                rows.extend(_check_parity(max_n, order, cap, 0, dp_table, full))
+                rows.extend(_check_parity(max_n, order, cap, 0, dp_table, full, even))
             if sections in ("all", "odd"):
-                rows.extend(_check_parity(max_n, order, cap, 1, dp_table, full))
+                rows.extend(_check_parity(max_n, order, cap, 1, dp_table, full, odd))
             if sections == "all":
                 rows.append(_check_ratio_form(order, dp_table))
         if sections in ("all", "csaki"):

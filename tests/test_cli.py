@@ -96,6 +96,15 @@ class TestConditional:
 
 
 class TestOracle:
+    def test_walk_too_long_for_path_ids(self, capsys, monkeypatch):
+        def no_paths(n, rule):
+            raise AssertionError("enumeration started")
+
+        monkeypatch.setattr("coinwalk.oracle._enumerate", no_paths)
+        code, _, err = run(capsys, "oracle", "--n", "33", "--cap", "40")
+        assert code == 2
+        assert "n=33" in err
+
     def test_nonneg_rule(self, capsys):
         _, out, _ = run(capsys, "oracle", "--n", "1", "--rule", "nonneg")
         rows = parse_csv(out)
@@ -114,6 +123,12 @@ class TestSimulate:
         assert code == 0
         assert sum(int(r["count"]) for r in rows) == 500
         assert "arcsine" in err
+
+    def test_zero_length_walk(self, capsys):
+        code, out, err = run(capsys, "simulate", "--m", "0", "--samples", "3")
+        assert code == 0
+        assert parse_csv(out) == [{"index": "0", "count": "3", "freq": "1"}]
+        assert "arcsine" not in err and "tv distance to exact law: 0.000000" in err
 
 
 class TestVerify:
@@ -153,6 +168,12 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["dist", "--n", "-3"])
         assert exc.value.code == 2
+
+    def test_zero_denominator_fraction(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["lagrange", "--a", "1/0", "--b", "1"])
+        assert exc.value.code == 2
+        assert "1/0" in capsys.readouterr().err
 
     def test_unknown_command(self, capsys):
         with pytest.raises(SystemExit) as exc:

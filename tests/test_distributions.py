@@ -7,6 +7,7 @@ from coinwalk.distributions import (
     cdf,
     conditional_positive,
     even_distribution,
+    law,
     odd_distribution,
     pgf,
 )
@@ -102,3 +103,15 @@ class TestInvariants:
     def test_pgf_at_one(self, n):
         assert pgf(odd_distribution(n))(1) == 1
         assert pgf(even_distribution(n))(1) == 1
+
+
+class TestLaw:
+    @pytest.mark.parametrize("m", range(9))
+    def test_dispatches_on_parity(self, m):
+        want = even_distribution(m // 2) if m % 2 == 0 else odd_distribution((m - 1) // 2)
+        assert law(m) == want
+
+    @pytest.mark.parametrize("m", [-1, -2])
+    def test_negative_length(self, m):
+        with pytest.raises(DomainError):
+            law(m)

@@ -71,6 +71,15 @@ class TestSpotCheck:
         recount = Counter(count_positive(walk_steps(cfg, j), NN) for j in range(cfg.samples))
         assert tuple(recount.get(j, 0) for j in range(cfg.m + 2)) == hist
 
+    @pytest.mark.parametrize("m", [63, 64, 65, 130])
+    @pytest.mark.parametrize("rule", [CF, NN])
+    def test_multi_word_walks(self, m, rule):
+        # walks spanning several splitmix words pin the byte and word order
+        cfg = SimConfig(m=m, samples=150, seed=17, rule=rule)
+        hist = simulate(cfg, block=37)
+        recount = Counter(count_positive(walk_steps(cfg, j), rule) for j in range(cfg.samples))
+        assert tuple(recount.get(j, 0) for j in range(len(hist))) == hist
+
     def test_walk_steps_domain(self):
         cfg = SimConfig(m=4, samples=10, seed=0)
         with pytest.raises(DomainError):

@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 from coinwalk.distributions import even_distribution, odd_distribution
-from coinwalk.errors import CapExceeded
+from coinwalk.errors import CapExceeded, DomainError
 from coinwalk.oracle import (
     PositivityRule,
     count_positive,
@@ -76,6 +76,15 @@ class TestEnumerate:
             enumerate_walks(25, CF)
         with pytest.raises(CapExceeded):
             enumerate_walks(4, CF, cap=3)
+
+    def test_path_ids_limit_length_whatever_the_cap(self, monkeypatch):
+        # n = 33 would wrap uint32 path ids; refuse before any path is built
+        def no_paths(n, rule):
+            raise AssertionError("enumeration started")
+
+        monkeypatch.setattr("coinwalk.oracle._enumerate", no_paths)
+        with pytest.raises(DomainError):
+            enumerate_walks(33, CF, cap=40)
 
     def test_joint_bounded_by_hist(self):
         stats = enumerate_walks(8, CF)
