@@ -61,7 +61,7 @@ def _emit_values(tables, fmt: str):
     rows = [
         {"n": n, "index": j, "exact": str(v), "decimal": _dec(v)}
         for n, values in tables
-        for j, v in enumerate(values)
+        for j, v in enumerate(values or (0,))  # () is the zero polynomial: row n,0,0,0
     ]
     _emit(rows, ["n", "index", "exact", "decimal"], fmt)
 

@@ -47,17 +47,13 @@ def even_pgf_via_legendre(n: int) -> QPoly:
     Written homogeneously: with P_n(x) = sum_j c_j x^j,
     q^n P_n((q^2+1)/(2q)) = sum_j c_j (q^2+1)^j (2q)^{n-j} / 2^n, which is a
     genuine polynomial (every q-power is non-negative); only the scalar 2^n
-    needs clearing, so no rational-function type is ever involved.
+    needs clearing, so no rational-function type is ever involved.  The sum
+    runs by homogeneous Horner, j = n down to 0: acc (q^2+1) + c_j (2q)^{n-j}.
     """
     c = legendre(n).coeffs
     acc = QPoly.zero()
-    q2_plus_1_pow = QPoly.one()  # (q^2+1)^j, built up incrementally
-    for j in range(n + 1):
-        cj = c[j] if j < len(c) else Fraction(0)
-        if cj:
-            term = q2_plus_1_pow.shift(n - j).scale(cj * 2 ** (n - j))
-            acc = acc + term
-        q2_plus_1_pow = q2_plus_1_pow * QPoly((1, 0, 1))
+    for j in range(n, -1, -1):
+        acc = acc + acc.shift(2) + QPoly.monomial(n - j, c[j] * 2 ** (n - j))
     return acc.scale(Fraction(1, 2**n))
 
 

@@ -131,6 +131,8 @@ def tv_distance(hist: Sequence[int], exact: Distribution) -> float:
             f"support mismatch: histogram has {len(hist)} slots, law has {len(exact.mass)}"
         )
     samples = sum(hist)
+    if not samples:
+        raise DomainError("histogram holds no samples")
     return 0.5 * sum(abs(h / samples - float(p)) for h, p in zip(hist, exact.mass))
 
 
@@ -151,6 +153,8 @@ def arcsine_sup_distance(hist: Sequence[int]) -> float:
     """
     m = len(hist) - 1
     samples = sum(hist)
+    if m < 1 or not samples:
+        raise DomainError(f"arcsine distance needs 2 slots and 1 sample, got {m + 1}, {samples}")
     worst = 0.0
     ecdf_prev = 0.0
     acc = 0

@@ -16,6 +16,10 @@ with InexactDivision.  Aborting is the point: the expansions built here
 (`pgf_series_*`, `nonneg_series`) encode identities whose failure must
 surface loudly, not be smoothed over.
 
+Multiplication, division and square root share one product helper, `_dot`.
+Only sqrt(1-z^2) is expanded; sqrt(1-q^2 z^2) is that series at qz, so no
+builder takes the square root of a series with q-dependent coefficients.
+
 The expansions provided:
 
 * ``pgf_series_even``  - 1 / (sqrt(1-z^2) sqrt(1-q^2 z^2)); its z^{2n}
@@ -45,7 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Union
+from typing import Mapping, Sequence, Union
 
 from .errors import DomainError, InexactDivision, SqrtDomainError, ValuationError
 from .qpoly import QPoly, Scalar
@@ -55,6 +59,11 @@ _PolyLike = Union[QPoly, int, Fraction]
 
 def _as_poly(c: _PolyLike) -> QPoly:
     return c if isinstance(c, QPoly) else QPoly((c,))
+
+
+def _dot(xs: Sequence[QPoly], ys: Sequence[QPoly]) -> QPoly:
+    """Sum of x*y over paired coefficients: one z-coefficient of a Cauchy product."""
+    return sum((x * y for x, y in zip(xs, ys) if x and y), QPoly.zero())
 
 
 @dataclass(frozen=True)
@@ -142,15 +151,8 @@ class BivariateSeries:
 
     def __mul__(self, other: "BivariateSeries") -> "BivariateSeries":
         z = min(self.order, other.order)
-        out = [QPoly.zero()] * z
-        for i, a in enumerate(self.coeffs[:z]):
-            if not a:
-                continue
-            for j in range(z - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] = out[i + j] + a * b
-        return BivariateSeries(z, tuple(out))
+        a, b = self.coeffs, other.coeffs
+        return BivariateSeries(z, tuple(_dot(a[: n + 1], b[n::-1]) for n in range(z)))
 
     def __truediv__(self, den: "BivariateSeries") -> "BivariateSeries":
         """Series quotient with quotient * den = num up to truncation.
@@ -175,10 +177,7 @@ class BivariateSeries:
         lead = den.coeffs[0]
         out: list[QPoly] = []
         for n in range(z):
-            acc = num.coeffs[n]
-            for k in range(n):
-                if out[k] and den.coeffs[n - k]:
-                    acc = acc - out[k] * den.coeffs[n - k]
+            acc = num.coeffs[n] - _dot(out, den.coeffs[n:0:-1])
             out.append(acc.divide_exact(lead))
         return BivariateSeries(z, tuple(out))
 
@@ -189,13 +188,10 @@ class BivariateSeries:
         """Square root with constant term 1 (the only case needed here)."""
         if self.coeffs[0] != QPoly.one():
             raise SqrtDomainError("series sqrt requires constant term exactly 1")
-        half = Fraction(1, 2)
         out = [QPoly.one()]
         for n in range(1, self.order):
-            acc = self.coeffs[n]
-            for i in range(1, n):
-                acc = acc - out[i] * out[n - i]
-            out.append(acc.scale(half))
+            acc = self.coeffs[n] - _dot(out[1:], out[n - 1 : 0 : -1])
+            out.append(acc.scale(Fraction(1, 2)))
         return BivariateSeries(self.order, tuple(out))
 
     # -- formatting ---------------------------------------------------------
@@ -222,14 +218,16 @@ def _sqrt_one_minus_z2(order: int) -> BivariateSeries:
     return BivariateSeries.from_terms({0: 1, 2: -1}, order).sqrt()
 
 
-def _sqrt_one_minus_q2z2(order: int) -> BivariateSeries:
-    return BivariateSeries.from_terms({0: 1, 2: QPoly.monomial(2, -1)}, order).sqrt()
+def _at_qz(s: BivariateSeries) -> BivariateSeries:
+    """s evaluated at qz: the z^n coefficient times q^n."""
+    return BivariateSeries(s.order, tuple(c.shift(n) for n, c in enumerate(s.coeffs)))
 
 
 def pgf_series_even(order: int) -> BivariateSeries:
     """1/(sqrt(1-z^2) sqrt(1-q^2 z^2)); z^{2n} coefficient = even-length PGF."""
     _check_order(order)
-    return (_sqrt_one_minus_z2(order) * _sqrt_one_minus_q2z2(order)).reciprocal()
+    rz = _sqrt_one_minus_z2(order)
+    return (rz * _at_qz(rz)).reciprocal()
 
 
 def pgf_series_odd(order: int) -> BivariateSeries:
@@ -258,7 +256,7 @@ def pgf_series_odd_ratio(order: int) -> BivariateSeries:
     _check_order(order)
     o = order + 3
     rz = _sqrt_one_minus_z2(o)
-    rqz = _sqrt_one_minus_q2z2(o)
+    rqz = _at_qz(rz)
     # -z^2 (q^2 (z^2-1) - 1) = (q^2+1) z^2 - q^2 z^4
     num = (
         rz * rqz * BivariateSeries.from_terms({0: 1, 2: QPoly.q()}, o)
@@ -294,7 +292,7 @@ def pgf_series_ratio(order: int) -> BivariateSeries:
     _check_order(order)
     o = order + 2
     rz = _sqrt_one_minus_z2(o)
-    rqz = _sqrt_one_minus_q2z2(o)
+    rqz = _at_qz(rz)
     one = BivariateSeries.one(o)
     z2 = BivariateSeries.from_terms({2: 1}, o)
 
@@ -333,7 +331,7 @@ def nonneg_series(order: int) -> BivariateSeries:
     _check_order(order)
     o = order + 2
     rz = _sqrt_one_minus_z2(o)
-    rqz = _sqrt_one_minus_q2z2(o)
+    rqz = _at_qz(rz)
     one = BivariateSeries.one(o)
 
     geometric = BivariateSeries.from_terms(

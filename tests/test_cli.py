@@ -95,6 +95,27 @@ class TestConditional:
         assert [r["oracle"] for r in rows] == ["0", "1/3", "2/3", "1"]
 
 
+class TestSeries:
+    ZERO_ROW = {"n": "0", "index": "0", "exact": "0", "decimal": "0"}
+
+    def test_zero_coefficients_get_a_row_csv(self, capsys):
+        code, out, _ = run(capsys, "series", "--which", "odd", "--order", "3")
+        rows = parse_csv(out)
+        assert code == 0
+        assert [r["n"] for r in rows] == ["0", "1", "1", "2"]
+        assert rows[0] == self.ZERO_ROW
+        assert rows[3] == dict(self.ZERO_ROW, n="2")
+
+    def test_zero_coefficients_get_a_row_json(self, capsys):
+        code, out, _ = run(capsys, "series", "--which", "odd", "--order", "3",
+                           "--format", "json")
+        rows = json.loads(out)
+        assert code == 0
+        assert [r["n"] for r in rows] == [0, 1, 1, 2]
+        assert rows[0] == {"n": 0, "index": 0, "exact": "0", "decimal": "0"}
+        assert rows[3] == {"n": 2, "index": 0, "exact": "0", "decimal": "0"}
+
+
 class TestOracle:
     def test_walk_too_long_for_path_ids(self, capsys, monkeypatch):
         def no_paths(n, rule):

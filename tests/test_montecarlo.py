@@ -127,6 +127,20 @@ class TestReporting:
         assert arcsine_cdf(1.0) == 1.0
         assert abs(arcsine_cdf(0.5) - 0.5) < 1e-12
 
+    @pytest.mark.parametrize(
+        "report",
+        [
+            lambda: arcsine_sup_distance((3,)),
+            lambda: arcsine_sup_distance(()),
+            lambda: arcsine_sup_distance((0, 0)),
+            lambda: tv_distance((0, 0), odd_distribution(0)),
+        ],
+        ids=["arcsine-one-slot", "arcsine-empty", "arcsine-no-samples", "tv-no-samples"],
+    )
+    def test_degenerate_histogram_is_domain_error(self, report):
+        with pytest.raises(DomainError):
+            report()
+
     def test_sup_distance_detects_point_mass(self):
         # all mass at the middle is far from the U-shaped arcsine law
         hist = [0] * 11

@@ -144,12 +144,28 @@ def series_of(order):
     )
 
 
+def naive_product(a, b):
+    """Independent reference: the Cauchy product as a plain double loop."""
+    z = min(a.order, b.order)
+    out = [QPoly.zero()] * z
+    for i in range(z):
+        for j in range(z - i):
+            out[i + j] = out[i + j] + a.coeffs[i] * b.coeffs[j]
+    return BivariateSeries(z, tuple(out))
+
+
 class TestProperties:
     @settings(max_examples=40)
     @given(series_of(5), series_of(5), series_of(5))
     def test_mul_associative_commutative(self, a, b, c):
         assert (a * b) * c == a * (b * c)
         assert a * b == b * a
+
+    @settings(max_examples=40)
+    @given(st.integers(1, 7).flatmap(series_of), st.integers(1, 7).flatmap(series_of))
+    def test_mul_matches_naive_double_loop(self, a, b):
+        assert a * b == naive_product(a, b)
+        assert b * a == naive_product(b, a)
 
     @settings(max_examples=40)
     @given(series_of(6))
@@ -175,6 +191,13 @@ class TestEvenExpansion:
     @pytest.mark.parametrize("n", range(6))
     def test_equals_even_pgf(self, n):
         assert self.SERIES.coeff(2 * n) == even_pgf(n)
+
+    @pytest.mark.parametrize("order", [1, 2, 9, 40])
+    def test_equals_product_of_both_square_roots(self, order):
+        # both radicals expanded by the series sqrt, q-marked one included
+        rz = S({0: 1, 2: -1}, order).sqrt()
+        rqz = S({0: 1, 2: QPoly.monomial(2, -1)}, order).sqrt()
+        assert pgf_series_even(order) == (rz * rqz).reciprocal()
 
 
 class TestOddExpansion:
