@@ -51,9 +51,9 @@ def even_distribution(n: int) -> Distribution:
     """Law of the positive-step count over 2n tosses."""
     if n < 0:
         raise DomainError("n must be non-negative")
+    u = [return_prob(k) for k in range(n + 1)]
     mass = [Fraction(0)] * (2 * n + 1)
-    for r in range(n + 1):
-        mass[2 * r] = return_prob(r) * return_prob(n - r)
+    mass[::2] = [u[r] * u[n - r] for r in range(n + 1)]
     return Distribution.from_mass(mass)
 
 
@@ -61,11 +61,11 @@ def odd_distribution(n: int) -> Distribution:
     """Law of the positive-step count over 2n+1 tosses."""
     if n < 0:
         raise DomainError("n must be non-negative")
+    u = [return_prob(k) for k in range(n + 2)]
+    w = [u[r] * u[n + 1 - r] / (n + 1) for r in range(n + 2)]
     mass = [Fraction(0)] * (2 * n + 2)
-    for r in range(n + 1):
-        mass[2 * r] = return_prob(r) * return_prob(n + 1 - r) * Fraction(n - r + 1, n + 1)
-    for r in range(1, n + 2):
-        mass[2 * r - 1] = return_prob(r) * return_prob(n + 1 - r) * Fraction(r, n + 1)
+    mass[::2] = [w[r] * (n - r + 1) for r in range(n + 1)]
+    mass[1::2] = [w[r] * r for r in range(1, n + 2)]
     return Distribution.from_mass(mass)
 
 

@@ -10,30 +10,29 @@ and the odd-length PGF has four further expressions in terms of even_pgf,
 all of which must agree exactly; an InexactDivision anywhere in this module
 falsifies an identity and is allowed to propagate.  Legendre polynomials use
 the standard normalization P_n(1) = 1 and are returned as plain QPoly values
-in the argument variable.
+in the argument variable, built from their explicit sum (see `legendre`), so
+the harness's Lagrange rows compare a three-term recurrence with a formula.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .distributions import even_distribution, pgf
-from .qpoly import QPoly, Scalar
+from .distributions import cdf, even_distribution, pgf
+from .qpoly import QPoly, Scalar, binomial
 
 _Q_PLUS_1 = QPoly((1, 1))
 
 
 def legendre(n: int) -> QPoly:
-    """P_n by the three-term recurrence (n+1)P_{n+1} = (2n+1)x P_n - n P_{n-1}."""
+    """P_n(x) = 2^-n sum_k (-1)^k C(n,k) C(2n-2k,n) x^(n-2k), k = 0..n/2."""
     if n < 0:
         raise ValueError("degree must be non-negative")
-    p_prev, p_cur = QPoly.one(), QPoly.q()  # P_0, P_1 (variable is x here)
-    if n == 0:
-        return p_prev
-    for m in range(1, n):
-        nxt = (p_cur.shift(1).scale(2 * m + 1) - p_prev.scale(m)).scale(Fraction(1, m + 1))
-        p_prev, p_cur = p_cur, nxt
-    return p_cur
+    coeffs = [0] * (n + 1)
+    for k in range(n // 2 + 1):
+        c = binomial(n, k) * binomial(2 * n - 2 * k, n)
+        coeffs[n - 2 * k] = Fraction(-c if k % 2 else c, 2**n)
+    return QPoly(coeffs)
 
 
 def even_pgf(n: int) -> QPoly:
@@ -99,14 +98,13 @@ def odd_masses_via_partial_sums(n: int) -> tuple[Fraction, ...]:
     the even laws:
         coeff(2i)   = sum_{j<=i} w[2j, 2n+2] - sum_{j<=i-1} w[2j, 2n]
         coeff(2i+1) = sum_{j<=i} w[2j, 2n]   - sum_{j<=i}   w[2j, 2n+2]
-    No polynomial division at all; a third, purely additive route.
+    No polynomial division at all; a third, purely additive route.  The sums
+    are read off the even laws' cdf, whose slot 2i-1 holds sum_{j<=i-1}.
     """
-    w_2n = even_distribution(n).mass[::2]
-    w_2n2 = even_distribution(n + 1).mass[::2]
-    out = [Fraction(0)] * (2 * n + 2)
+    lo, hi = cdf(even_distribution(n)), cdf(even_distribution(n + 1))
+    out: list[Fraction] = []
     for i in range(n + 1):
-        out[2 * i] = sum(w_2n2[: i + 1]) - sum(w_2n[:i])
-        out[2 * i + 1] = sum(w_2n[: i + 1]) - sum(w_2n2[: i + 1])
+        out += [hi[2 * i] - (lo[2 * i - 1] if i else 0), lo[2 * i] - hi[2 * i]]
     return tuple(out)
 
 
@@ -119,12 +117,8 @@ def lagrange_series(a: Scalar, b: Scalar, order: int) -> tuple[Fraction, ...]:
     if order < 0:
         raise ValueError("order must be non-negative")
     a = Fraction(a)
-    c = Fraction(a) ** 2 - 4 * Fraction(b) ** 2
-    out: list[Fraction] = []
-    if order >= 1:
-        out.append(Fraction(1))
-    if order >= 2:
-        out.append(a)
+    c = a**2 - 4 * Fraction(b) ** 2
+    out = [Fraction(1), a][:order]
     for m in range(1, order - 1):
         out.append(((2 * m + 1) * a * out[m] - m * c * out[m - 1]) / (m + 1))
     return tuple(out)

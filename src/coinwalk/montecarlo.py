@@ -58,7 +58,7 @@ def splitmix64(seed: int, index: int) -> int:
 
 
 def _mix_block(x: np.ndarray) -> np.ndarray:
-    x = x.copy()
+    """splitmix64's output mix of every word of x, in place: x is a fresh temporary."""
     x ^= x >> np.uint64(30)
     x *= np.uint64(_MIX1)
     x ^= x >> np.uint64(27)

@@ -11,6 +11,8 @@ tests pin both routes' histograms to.
 Two counting rules:
 
 * CHUNG_FELLER - count k in 1..n with S_k > 0, or S_k = 0 and S_{k-1} > 0.
+  For +-1 steps this is S_k >= b_k, b_k the 0/1 bit of step k; `_count_walks`
+  applies that per path and step, `count_positive` the rule as written.
 * NON_NEGATIVE - count k in 0..n with S_k >= 0.  The k = 0 term always
   counts (S_0 = 0), so the count ranges over 1..n+1 and histogram slot 0
   stays empty.  This is a genuinely different statistic with a different
@@ -31,6 +33,7 @@ from .distributions import Distribution
 from .errors import CapExceeded, DomainError
 
 DEFAULT_CAP = 24
+_MAX_N = 32  # the widest walk a uint32 path id encodes
 
 _BLOCK = 1 << 16
 
@@ -79,8 +82,8 @@ def enumerate_walks(n: int, rule: PositivityRule, cap: int = DEFAULT_CAP) -> Wal
     """Exact histogram over all 2^n equally likely sign sequences."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    if n > 32:
-        raise DomainError(f"n={n} exceeds 32, the widest walk a uint32 path id encodes")
+    if n > _MAX_N:
+        raise DomainError(f"n={n} exceeds {_MAX_N}, the widest walk a uint32 path id encodes")
     if n > cap:
         raise CapExceeded(f"n={n} exceeds enumeration cap {cap} (2^{n} paths)")
     return _enumerate(n, rule)
@@ -97,9 +100,8 @@ def _count_walks(bits: np.ndarray, rule: PositivityRule) -> tuple[np.ndarray, np
     if rule is PositivityRule.NON_NEGATIVE:
         counts = (sums >= 0).sum(axis=1) + 1
     else:
-        prev = np.zeros_like(sums)
-        prev[:, 1:] = sums[:, :-1]
-        counts = ((sums > 0) | ((sums == 0) & (prev > 0))).sum(axis=1)
+        # the tie rule as S_k >= b_k: S_k = 0 follows S_{k-1} > 0 iff step k is down
+        counts = (sums >= bits).sum(axis=1)
     return counts, sums
 
 

@@ -230,6 +230,13 @@ def pgf_series_even(order: int) -> BivariateSeries:
     return (rz * _at_qz(rz)).reciprocal()
 
 
+def _odd_from_even(even: BivariateSeries) -> BivariateSeries:
+    """(E-1)/((q+1)z) + qzE/(q+1) for E = `even`, to one order less than E."""
+    qz_even = even.scale(QPoly.q()).shift_up(1)
+    numerator = (even - BivariateSeries.one(even.order)).shift_down(1) + qz_even
+    return numerator / BivariateSeries.from_terms({0: QPoly((1, 1))}, numerator.order)
+
+
 def pgf_series_odd(order: int) -> BivariateSeries:
     """Odd part of the walk series, from the difference form.
 
@@ -237,14 +244,10 @@ def pgf_series_odd(order: int) -> BivariateSeries:
     + qzE/(q+1).  Neither term alone has polynomial q-coefficients, so both
     are combined over (q+1) first; each z-coefficient then divides exactly,
     and a failure would falsify the underlying identity (InexactDivision).
+    The division by z costs one order, so E is expanded to order + 1.
     """
     _check_order(order)
-    even = pgf_series_even(order + 2)
-    numerator = (even - BivariateSeries.one(order + 2)).shift_down(1) + even.scale(
-        QPoly.q()
-    ).shift_up(1)
-    q_plus_1 = BivariateSeries.from_terms({0: QPoly((1, 1))}, numerator.order)
-    return (numerator / q_plus_1).truncate(order)
+    return _odd_from_even(pgf_series_even(order + 1))
 
 
 def pgf_series_odd_ratio(order: int) -> BivariateSeries:
@@ -279,7 +282,8 @@ def pgf_series(order: int) -> BivariateSeries:
     its transcription is defective (see module docstring).
     """
     _check_order(order)
-    return pgf_series_even(order) + pgf_series_odd(order)
+    even = pgf_series_even(order + 1)
+    return even + _odd_from_even(even)
 
 
 def pgf_series_ratio(order: int) -> BivariateSeries:

@@ -24,7 +24,6 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .distributions import law, pgf
-from .errors import CapExceeded
 from .lattice import dp_pgf_table
 from .legendre import (
     even_pgf,
@@ -37,13 +36,13 @@ from .legendre import (
     odd_pgf_via_ratio,
     odd_pgf_via_three_term,
 )
-from .oracle import DEFAULT_CAP, PositivityRule, oracle_conditional, oracle_distribution
+from .oracle import _MAX_N, DEFAULT_CAP, PositivityRule, oracle_conditional, oracle_distribution
 from .qpoly import QPoly
 from .series import (
     BivariateSeries,
+    _odd_from_even,
     nonneg_series,
     pgf_series_even,
-    pgf_series_odd,
     pgf_series_odd_ratio,
     pgf_series_ratio,
 )
@@ -208,23 +207,22 @@ def run_verify(max_n: int = 12, order: int = 32, sections: str = "all",
     if sections not in SECTIONS:
         raise ValueError(f"unknown section {sections!r}; choose from {SECTIONS}")
     rows: list[ReportRow] = []
-    try:
-        if sections in ("all", "even", "odd"):
-            dp_table = dp_pgf_table(max_n)
-            even, odd = pgf_series_even(order), pgf_series_odd(order)
-            full = even + odd  # what pgf_series(order) returns
-            if sections in ("all", "even"):
-                rows.extend(_check_parity(max_n, order, cap, 0, dp_table, full, even))
-            if sections in ("all", "odd"):
-                rows.extend(_check_parity(max_n, order, cap, 1, dp_table, full, odd))
-            if sections == "all":
-                rows.append(_check_ratio_form(order, dp_table))
-        if sections in ("all", "csaki"):
-            rows.extend(_check_csaki(max_n, order, cap))
-        if sections in ("all", "cond"):
-            rows.extend(_check_cond(max_n // 2 if sections == "all" else max_n, cap))
-        if sections in ("all", "legendre"):
-            rows.extend(_check_legendre(max_n))
-    except CapExceeded as exc:  # belt and braces; sections guard caps themselves
-        rows.append(ReportRow("cap", -1, str(exc), "skipped:cap"))
+    cap = min(cap, _MAX_N)  # walks too long for a path id are skipped:cap too
+    if sections in ("all", "even", "odd"):
+        dp_table = dp_pgf_table(max_n)
+        even = pgf_series_even(order + 1)
+        odd = _odd_from_even(even)
+        full = even + odd  # what pgf_series(order) returns
+        if sections in ("all", "even"):
+            rows.extend(_check_parity(max_n, order, cap, 0, dp_table, full, even))
+        if sections in ("all", "odd"):
+            rows.extend(_check_parity(max_n, order, cap, 1, dp_table, full, odd))
+        if sections == "all":
+            rows.append(_check_ratio_form(order, dp_table))
+    if sections in ("all", "csaki"):
+        rows.extend(_check_csaki(max_n, order, cap))
+    if sections in ("all", "cond"):
+        rows.extend(_check_cond(max_n // 2 if sections == "all" else max_n, cap))
+    if sections in ("all", "legendre"):
+        rows.extend(_check_legendre(max_n))
     return VerifyReport(rows=tuple(rows), strict_csaki=strict_csaki)

@@ -30,6 +30,14 @@ class TestLegendrePolynomials:
     def test_normalization(self, n):
         assert legendre(n)(1) == 1
 
+    def test_matches_three_term_recurrence(self):
+        # reference for the explicit form: (m+1) P_{m+1} = (2m+1) x P_m - m P_{m-1}
+        prev, cur = QPoly.one(), QPoly.q()
+        assert legendre(0) == prev
+        for m in range(1, 41):
+            assert legendre(m) == cur
+            prev, cur = cur, (cur.shift(1).scale(2 * m + 1) - prev.scale(m)).scale(F(1, m + 1))
+
     @pytest.mark.parametrize("n", range(21))
     def test_parity(self, n):
         p = legendre(n)

@@ -1,12 +1,15 @@
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coinwalk.distributions import even_distribution, odd_distribution
 from coinwalk.errors import CapExceeded, DomainError
 from coinwalk.oracle import (
     PositivityRule,
+    _count_walks,
     count_positive,
     enumerate_walks,
     oracle_conditional,
@@ -39,6 +42,31 @@ class TestCountPositive:
         assert count_positive((), NN) == 1
         assert count_positive((-1,), NN) == 1
         assert count_positive((1,), NN) == 2
+
+
+def bit_rows(n):
+    return st.tuples(st.just(n), st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n),
+                                          min_size=1, max_size=6))
+
+
+class TestCountingKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 200).flatmap(bit_rows), st.sampled_from([CF, NN]))
+    def test_matches_per_path_reference(self, walks, rule):
+        n, rows = walks
+        counts, sums = _count_walks(np.array(rows, dtype=np.uint8).reshape(len(rows), n), rule)
+        steps = [[2 * b - 1 for b in row] for row in rows]
+        assert counts.tolist() == [count_positive(s, rule) for s in steps]
+        assert sums.tolist() == [list(accumulate(s)) for s in steps]
+
+    @pytest.mark.parametrize("rule,expected", [(CF, 40000), (NN, 40001)])
+    def test_long_walk_uses_int32_sums(self, rule, expected):
+        # 20,000 up, then 20,000 down: every step counts, the last one by the tie rule
+        steps = [1] * 20000 + [-1] * 20000
+        bits = np.array([[1] * 20000 + [0] * 20000], dtype=np.uint8)
+        counts, sums = _count_walks(bits, rule)
+        assert sums.dtype == np.int32
+        assert counts.tolist() == [count_positive(steps, rule)] == [expected]
 
 
 class TestEnumerate:

@@ -218,6 +218,12 @@ class TestOddExpansion:
     def test_ratio_route_agrees_to_order_32(self):
         assert pgf_series_odd_ratio(32) == pgf_series_odd(32)
 
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_low_orders(self, order):
+        odd = pgf_series_odd(order)
+        assert odd.order == order
+        assert odd == pgf_series_odd_ratio(order)
+
 
 class TestFullExpansion:
     def test_is_sum_of_parts(self):
@@ -231,6 +237,12 @@ class TestFullExpansion:
         table = dp_pgf_table(9)
         for n in range(10):
             assert extract_pgf(full, n) == table[n]
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_low_orders_match_recursion_route(self, order):
+        full = pgf_series(order)
+        assert full.order == order
+        assert list(full.coeffs) == dp_pgf_table(order - 1)
 
     def test_extract_out_of_range(self):
         with pytest.raises(DomainError):

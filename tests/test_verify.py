@@ -1,5 +1,7 @@
 import pytest
 
+from coinwalk.distributions import law
+from coinwalk.oracle import WalkStats
 from coinwalk.verify import ReportRow, VerifyReport, run_verify
 
 
@@ -60,3 +62,15 @@ class TestRunVerify:
         report = run_verify(max_n=8, order=10, sections="csaki", strict_csaki=True)
         assert report.passed
         assert all(r.ok for r in report.rows)
+
+    @pytest.mark.parametrize("sections,max_n,route", [("cond", 17, "cond"), ("odd", 33, "oracle")])
+    def test_cap_above_path_id_width(self, monkeypatch, sections, max_n, route):
+        # walks past 32 steps have no uint32 path id: skipped:cap, not a lost report
+        def closed_law_counts(n, rule):
+            hist = tuple(int(p * 2**n) for p in law(n).mass) + (0,)
+            return WalkStats(n, rule, hist, (0,) * (n + 2))
+
+        monkeypatch.setattr("coinwalk.oracle._enumerate", closed_law_counts)
+        report = run_verify(max_n=max_n, order=2, sections=sections, cap=40)
+        last = rows_by_route(report, route)[-1]
+        assert (last.n, last.status) == (max_n, "skipped:cap")
