@@ -80,6 +80,13 @@ def _positive(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    value = int(text)
+    if not 0 <= value < 1 << 64:
+        raise argparse.ArgumentTypeError("must be in 0..2^64-1")
+    return value
+
+
 def _fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
@@ -236,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="seeded Monte Carlo histogram")
     p.add_argument("--m", type=_nonneg, required=True)
     p.add_argument("--samples", type=_positive, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--rule", choices=sorted(_RULES), default="cf")
     p.add_argument("--cap", type=_nonneg, default=DEFAULT_CAP)
     add_format(p)

@@ -17,8 +17,10 @@ the harness's Lagrange rows compare a three-term recurrence with a formula.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
+from itertools import accumulate
 
-from .distributions import cdf, even_distribution, pgf
+from .distributions import even_distribution, pgf
 from .qpoly import QPoly, Scalar, binomial
 
 _Q_PLUS_1 = QPoly((1, 1))
@@ -35,11 +37,17 @@ def legendre(n: int) -> QPoly:
     return QPoly(coeffs)
 
 
+@cache
 def even_pgf(n: int) -> QPoly:
-    """PGF of the positive-step count over 2n tosses, from the closed law."""
+    """PGF of the positive-step count over 2n tosses, from the closed law.
+
+    Memoized, like `even_pgf_via_legendre`: the value is immutable, and the
+    odd identities and the verify harness ask for each n several times.
+    """
     return pgf(even_distribution(n))
 
 
+@cache
 def even_pgf_via_legendre(n: int) -> QPoly:
     """The same polynomial as q^n P_n((q + 1/q)/2), by Laurent evaluation.
 
@@ -99,9 +107,10 @@ def odd_masses_via_partial_sums(n: int) -> tuple[Fraction, ...]:
         coeff(2i)   = sum_{j<=i} w[2j, 2n+2] - sum_{j<=i-1} w[2j, 2n]
         coeff(2i+1) = sum_{j<=i} w[2j, 2n]   - sum_{j<=i}   w[2j, 2n+2]
     No polynomial division at all; a third, purely additive route.  The sums
-    are read off the even laws' cdf, whose slot 2i-1 holds sum_{j<=i-1}.
+    are prefix sums of the even PGFs' coefficients (the even laws' masses),
+    whose slot 2i-1 holds sum_{j<=i-1}.
     """
-    lo, hi = cdf(even_distribution(n)), cdf(even_distribution(n + 1))
+    lo, hi = (tuple(accumulate(even_pgf(k).coeffs)) for k in (n, n + 1))
     out: list[Fraction] = []
     for i in range(n + 1):
         out += [hi[2 * i] - (lo[2 * i - 1] if i else 0), lo[2 * i] - hi[2 * i]]

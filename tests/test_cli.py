@@ -196,6 +196,20 @@ class TestUsageErrors:
         assert exc.value.code == 2
         assert "1/0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64), str(2**64 + 5)])
+    def test_seed_outside_64_bits(self, capsys, seed):
+        # these used to wrap mod 2^64 into the histogram of another seed
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--m", "4", "--samples", "10", "--seed", seed])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
+    def test_largest_seed_accepted(self, capsys):
+        code, out, _ = run(capsys, "simulate", "--m", "4", "--samples", "10",
+                           "--seed", str(2**64 - 1))
+        assert code == 0
+        assert sum(int(r["count"]) for r in parse_csv(out)) == 10
+
     def test_unknown_command(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -122,3 +123,118 @@ class TestQPoly:
         quot, rem = a.divmod(b)
         assert quot * b + rem == a
         assert rem.degree < b.degree or rem.is_zero()
+
+
+# -- the integer kernel against plain list-of-Fraction arithmetic ----------------
+
+
+def ref(p):
+    """The reference value of a QPoly: its coefficient list."""
+    return list(p.coeffs)
+
+
+def ref_trim(cs):
+    cs = [F(c) for c in cs]
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
+def ref_add(a, b):
+    size = max(len(a), len(b))
+    return ref_trim([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
+                     for i in range(size)])
+
+
+def ref_mul(a, b):
+    out = [F(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return ref_trim(out)
+
+
+def ref_divmod(a, b):
+    rem, quot = list(a), [F(0)] * max(len(a) - len(b) + 1, 0)
+    for i in range(len(a) - 1, len(b) - 2, -1):
+        f = rem[i] / b[-1]
+        quot[i - len(b) + 1] = f
+        for j, y in enumerate(b):
+            rem[i - len(b) + 1 + j] -= f * y
+    return ref_trim(quot), ref_trim(rem)
+
+
+def assert_canonical(p):
+    nums, den = p._nums, p._den
+    assert den > 0
+    assert not nums or nums[-1] != 0
+    assert math.gcd(den, *nums) == 1
+    assert ref(p) == [F(c, den) for c in nums]
+
+
+wide_fractions = st.fractions(min_value=-60, max_value=60, max_denominator=720)
+coeff_lists = st.lists(wide_fractions, max_size=9)
+wide_polys = coeff_lists.map(QPoly)
+
+
+class TestIntegerKernel:
+    @given(coeff_lists)
+    def test_constructor_is_canonical(self, cs):
+        p = QPoly(cs)
+        assert_canonical(p)
+        assert ref(p) == ref_trim(cs)
+
+    @given(wide_polys, wide_polys)
+    def test_add_sub_neg(self, a, b):
+        for got, want in ((a + b, ref_add(ref(a), ref(b))),
+                          (a - b, ref_add(ref(a), [-c for c in ref(b)])),
+                          (-a, [-c for c in ref(a)])):
+            assert_canonical(got)
+            assert ref(got) == want
+
+    @given(wide_polys, wide_polys)
+    def test_mul(self, a, b):
+        assert_canonical(a * b)
+        assert ref(a * b) == ref_mul(ref(a), ref(b))
+
+    @given(wide_polys, wide_fractions)
+    def test_scale(self, a, s):
+        assert_canonical(a.scale(s))
+        assert ref(a.scale(s)) == ref_trim([c * s for c in ref(a)])
+
+    @given(wide_polys, st.integers(0, 5))
+    def test_shift(self, a, k):
+        assert_canonical(a.shift(k))
+        assert ref(a.shift(k)) == ref_trim([0] * k + ref(a))
+
+    @given(wide_polys)
+    def test_derivative_and_parts(self, a):
+        cs = ref(a)
+        cases = ((a.derivative(), [i * c for i, c in enumerate(cs)][1:]),
+                 (a.even_part(), [c if i % 2 == 0 else 0 for i, c in enumerate(cs)]),
+                 (a.odd_part(), [c if i % 2 else 0 for i, c in enumerate(cs)]))
+        for got, want in cases:
+            assert_canonical(got)
+            assert ref(got) == ref_trim(want)
+
+    @given(wide_polys, wide_fractions)
+    def test_evaluation(self, a, x):
+        assert a(x) == sum((c * x**i for i, c in enumerate(ref(a))), F(0))
+
+    @given(wide_polys, coeff_lists, wide_fractions.filter(bool))
+    def test_divmod(self, a, tail, lead):
+        # a lead of either sign, unit or not; the routes only divide by monic ones
+        b = QPoly(tail + [lead])
+        quot, rem = a.divmod(b)
+        assert_canonical(quot)
+        assert_canonical(rem)
+        assert (ref(quot), ref(rem)) == ref_divmod(ref(a), ref(b))
+
+    @given(wide_polys, wide_polys, st.integers(1, 30))
+    def test_equal_values_compare_and_hash_equal(self, a, b, k):
+        routes = (a, a + b - b, (a * QPoly((k, k))).divide_exact(QPoly((1, 1))).scale(F(1, k)),
+                  a.scale(k).scale(F(1, k)), QPoly(ref(a) + [0, 0]))
+        for p in routes:
+            assert_canonical(p)
+            assert p == a
+            assert hash(p) == hash(a)

@@ -1,3 +1,6 @@
+import sys
+from collections import Counter
+
 import pytest
 
 from coinwalk.distributions import law
@@ -74,3 +77,33 @@ class TestRunVerify:
         report = run_verify(max_n=max_n, order=2, sections=sections, cap=40)
         last = rows_by_route(report, route)[-1]
         assert (last.n, last.status) == (max_n, "skipped:cap")
+
+    def test_agreement_at_n_128(self):
+        report = run_verify(max_n=128, order=129, cap=16)
+        bad = [r for r in report.rows
+               if r.status.startswith("mismatch") and r.route not in ("csaki", "ratio-form")]
+        assert bad == []
+        assert {r.n for r in rows_by_route(report, "series")} == set(range(129))
+
+    def test_each_even_law_and_legendre_evaluation_built_once(self, monkeypatch):
+        distributions = sys.modules["coinwalk.distributions"]
+        legendre = sys.modules["coinwalk.legendre"]
+        calls = Counter()
+
+        def counted(kind, fn):
+            def wrapper(n):
+                calls[kind, n] += 1
+                return fn(n)
+            return wrapper
+
+        even_law = counted("law", distributions.even_distribution)
+        monkeypatch.setattr(distributions, "even_distribution", even_law)
+        monkeypatch.setattr(legendre, "even_distribution", even_law)
+        monkeypatch.setattr(legendre, "legendre", counted("P", legendre.legendre))
+        legendre.even_pgf.cache_clear()
+        legendre.even_pgf_via_legendre.cache_clear()
+        report = run_verify(max_n=20, order=21, cap=8)
+        assert report.passed
+        assert set(calls.values()) == {1}
+        assert {n for kind, n in calls if kind == "law"} == set(range(21))
+        assert {n for kind, n in calls if kind == "P"} == set(range(21))
