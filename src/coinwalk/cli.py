@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -262,14 +263,47 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _Stdout:
+    """Stands in for sys.stdout; once the reader closes the pipe, writes go to devnull.
+
+    A reader that stops early (``coinwalk dist --n 4000 | head -2``) is not an
+    error: the command runs to its end and keeps its exit code.
+    """
+
+    def __init__(self, stream):
+        self.stream = stream
+
+    def write(self, text: str) -> int:
+        try:
+            return self.stream.write(text)
+        except BrokenPipeError:
+            self._to_devnull()
+            return len(text)
+
+    def flush(self) -> None:
+        try:
+            self.stream.flush()
+        except BrokenPipeError:
+            self._to_devnull()
+
+    def _to_devnull(self) -> None:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, self.stream.fileno())
+        os.close(devnull)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    stdout = sys.stdout
+    sys.stdout = _Stdout(stdout)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except CoinwalkError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        sys.stdout.flush()
+        sys.stdout = stdout
 
 
 if __name__ == "__main__":

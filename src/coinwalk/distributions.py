@@ -9,7 +9,14 @@ has fully explicit laws:
     odd length 2n+1:  P(N = 2r)    = return_prob(r) * return_prob(n+1-r) * (n-r+1)/(n+1)
                       P(N = 2r-1)  = return_prob(r) * return_prob(n+1-r) * r/(n+1)
 
-Everything here is a pure function of the inputs over exact rationals.
+With c_k = C(2k, k), so that return_prob(k) = c_k / 4^k, both are integer
+counts over one denominator: c_r c_{n-r} over 4^n, and c_r c_{n+1-r} (n-r+1)
+or c_r c_{n+1-r} r over 4^(n+1) (n+1).  The builders form exactly those
+counts, with the c_k from the ratio recurrence c_k = c_{k-1} 2(2k-1)/k.
+
+A :class:`Distribution` is stored as its PGF, one ``QPoly`` (integer
+numerators over one denominator), so ``pgf`` is free and ``cdf`` is integer
+prefix sums; Fractions appear only where ``mass`` and ``[j]`` hand them out.
 Distributions keep the full index range 0..m with explicit zeros at
 impossible parities, so cross-route comparisons are positional.
 """
@@ -18,55 +25,92 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from typing import Iterable, Sequence
 
 from .errors import DomainError
-from .qpoly import QPoly, return_prob
+from .qpoly import QPoly, Scalar
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Distribution:
-    """Exact PMF of a count statistic over support 0..length."""
+    """Exact PMF of a count statistic over support 0..length.
+
+    Held as its PGF; `length` keeps the trailing slots whose mass is zero.
+    """
 
     length: int
-    mass: tuple[Fraction, ...]
+    _pgf: QPoly
 
-    def __post_init__(self):
-        if self.length != len(self.mass) - 1:
-            raise ValueError(f"length {self.length} inconsistent with {len(self.mass)} masses")
-        if any(p < 0 for p in self.mass):
+    def __init__(self, length: int, mass: Iterable[Scalar]):
+        mass = tuple(mass)
+        if length != len(mass) - 1:
+            raise ValueError(f"length {length} inconsistent with {len(mass)} masses")
+        self._set(length, QPoly(mass))
+
+    def _set(self, length: int, poly: QPoly) -> None:
+        """Store the law with PGF `poly`, checked on its integer numerators."""
+        nums, den = poly.numerators
+        if any(c < 0 for c in nums):
             raise ValueError("negative probability mass")
-        if sum(self.mass) != 1:
-            raise ValueError(f"masses sum to {sum(self.mass)}, not 1")
+        if sum(nums) != den:
+            raise ValueError(f"masses sum to {Fraction(sum(nums), den)}, not 1")
+        object.__setattr__(self, "length", length)
+        object.__setattr__(self, "_pgf", poly)
 
     @classmethod
-    def from_mass(cls, mass) -> "Distribution":
-        mass = tuple(Fraction(p) for p in mass)
-        return cls(length=len(mass) - 1, mass=mass)
+    def from_mass(cls, mass: Iterable[Scalar]) -> "Distribution":
+        mass = tuple(mass)
+        return cls(len(mass) - 1, mass)
+
+    @classmethod
+    def from_counts(cls, counts: Sequence[int], den: int) -> "Distribution":
+        """The law P(N = j) = counts[j] / den, j = 0..len(counts)-1, built on integers."""
+        if den <= 0:
+            raise ValueError(f"denominator {den} is not positive")
+        out = cls.__new__(cls)
+        out._set(len(counts) - 1, QPoly(counts).scale(Fraction(1, den)))
+        return out
+
+    @property
+    def mass(self) -> tuple[Fraction, ...]:
+        coeffs = self._pgf.coeffs
+        return coeffs + (Fraction(0),) * (self.length + 1 - len(coeffs))
 
     def __getitem__(self, j: int) -> Fraction:
-        return self.mass[j]
+        if not -self.length - 1 <= j <= self.length:
+            raise IndexError(f"index {j} outside 0..{self.length}")
+        return self._pgf.coeff(j % (self.length + 1))
+
+
+def _central_binomials(n: int) -> list[int]:
+    """[c_0, ..., c_n], c_k = C(2k, k), by c_k = c_{k-1} 2(2k-1)/k (exact)."""
+    c = [1]
+    for k in range(1, n + 1):
+        c.append(c[-1] * 2 * (2 * k - 1) // k)
+    return c
 
 
 def even_distribution(n: int) -> Distribution:
     """Law of the positive-step count over 2n tosses."""
     if n < 0:
         raise DomainError("n must be non-negative")
-    u = [return_prob(k) for k in range(n + 1)]
-    mass = [Fraction(0)] * (2 * n + 1)
-    mass[::2] = [u[r] * u[n - r] for r in range(n + 1)]
-    return Distribution.from_mass(mass)
+    c = _central_binomials(n)
+    counts = [0] * (2 * n + 1)
+    counts[::2] = [c[r] * c[n - r] for r in range(n + 1)]
+    return Distribution.from_counts(counts, 4**n)
 
 
 def odd_distribution(n: int) -> Distribution:
     """Law of the positive-step count over 2n+1 tosses."""
     if n < 0:
         raise DomainError("n must be non-negative")
-    u = [return_prob(k) for k in range(n + 2)]
-    w = [u[r] * u[n + 1 - r] / (n + 1) for r in range(n + 2)]
-    mass = [Fraction(0)] * (2 * n + 2)
-    mass[::2] = [w[r] * (n - r + 1) for r in range(n + 1)]
-    mass[1::2] = [w[r] * r for r in range(1, n + 2)]
-    return Distribution.from_mass(mass)
+    c = _central_binomials(n + 1)
+    w = [c[r] * c[n + 1 - r] for r in range(n + 2)]
+    counts = [0] * (2 * n + 2)
+    counts[::2] = [w[r] * (n - r + 1) for r in range(n + 1)]
+    counts[1::2] = [w[r] * r for r in range(1, n + 2)]
+    return Distribution.from_counts(counts, 4 ** (n + 1) * (n + 1))
 
 
 def law(m: int) -> Distribution:
@@ -76,17 +120,14 @@ def law(m: int) -> Distribution:
 
 def pgf(dist: Distribution) -> QPoly:
     """Probability generating function sum_j P(N=j) q^j; equals 1 at q=1."""
-    return QPoly(dist.mass)
+    return dist._pgf
 
 
-def cdf(dist: Distribution):
+def cdf(dist: Distribution) -> tuple[Fraction, ...]:
     """Partial sums of the mass; the last entry is exactly 1."""
-    out = []
-    acc = Fraction(0)
-    for p in dist.mass:
-        acc += p
-        out.append(acc)
-    return tuple(out)
+    nums, den = pgf(dist).numerators
+    sums = tuple(Fraction(s, den) for s in accumulate(nums))
+    return sums + (Fraction(1),) * (dist.length + 1 - len(sums))
 
 
 def conditional_positive(n: int, r: int) -> Fraction:

@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import DomainError
 from .qpoly import QPoly
 
 _HALF = Fraction(1, 2)
@@ -81,6 +82,8 @@ def dp_pgf(n: int) -> QPoly:
 
 def dp_pgf_table(n_max: int) -> list[QPoly]:
     """[p(0,0), p(1,0), ..., p(n_max,0)] from a single sweep."""
+    if n_max < 0:
+        raise DomainError(f"walk length must be non-negative, got {n_max}")
     cur = initial_slice()
     out = [cur.value(0)]
     for _ in range(n_max):

@@ -126,9 +126,9 @@ def tv_distance(hist: Sequence[int], exact: Distribution) -> float:
 
     Floating point on purpose: this is a reporting number, not a proof.
     """
-    if len(hist) != len(exact.mass):
+    if len(hist) != exact.length + 1:
         raise DomainError(
-            f"support mismatch: histogram has {len(hist)} slots, law has {len(exact.mass)}"
+            f"support mismatch: histogram has {len(hist)} slots, law has {exact.length + 1}"
         )
     samples = sum(hist)
     if not samples:

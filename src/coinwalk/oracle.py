@@ -122,16 +122,15 @@ def _enumerate(n: int, rule: PositivityRule) -> WalkStats:
 
 
 def oracle_distribution(n: int, rule: PositivityRule, cap: int = DEFAULT_CAP) -> Distribution:
-    """Enumeration histogram normalized by 2^n, as exact rationals.
+    """Enumeration histogram over 2^n, as an exact law.
 
     CHUNG_FELLER counts live on 0..n, NON_NEGATIVE on 0..n+1 (slot 0 empty).
     """
-    stats = enumerate_walks(n, rule, cap=cap)
-    total = 1 << n
+    hist = enumerate_walks(n, rule, cap=cap).count_hist
     if rule is PositivityRule.CHUNG_FELLER:
-        assert stats.count_hist[n + 1] == 0
-        return Distribution.from_mass(Fraction(c, total) for c in stats.count_hist[: n + 1])
-    return Distribution.from_mass(Fraction(c, total) for c in stats.count_hist)
+        assert hist[n + 1] == 0
+        hist = hist[: n + 1]
+    return Distribution.from_counts(hist, 1 << n)
 
 
 def oracle_conditional(n: int, cap: int = DEFAULT_CAP) -> tuple[Fraction, ...]:

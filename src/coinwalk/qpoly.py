@@ -108,6 +108,15 @@ class QPoly:
         return tuple(Fraction(c, den) for c in self._nums)
 
     @property
+    def numerators(self) -> tuple[tuple[int, ...], int]:
+        """The canonical storage (nums, den): coefficient i is nums[i] / den.
+
+        For callers that work on the integers themselves, such as the laws'
+        validation and prefix sums; read-only, like every QPoly.
+        """
+        return self._nums, self._den
+
+    @property
     def degree(self) -> int:
         """Degree in q; -1 for the zero polynomial (canonical sentinel)."""
         return len(self._nums) - 1

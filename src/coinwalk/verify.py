@@ -159,7 +159,8 @@ def _check_ratio_form(order: int, dp_table: list[QPoly]) -> ReportRow:
 
 def _check_csaki(max_n: int, order: int, cap: int) -> list[ReportRow]:
     rows = []
-    series = nonneg_series(order)
+    # built only as far as a compared row reads: n <= min(max_n, order - 1, cap)
+    series = nonneg_series(min(order, max_n + 1, cap + 1))
     for n in range(min(max_n, order - 1) + 1):
         if n > cap:
             rows.append(_skipped("csaki", n))

@@ -1,11 +1,17 @@
 import csv
 import io
+import itertools
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import coinwalk
 from coinwalk.cli import main
+from coinwalk.verify import QUARANTINED, SECTIONS, ReportRow, VerifyReport
 
 F = Fraction
 
@@ -214,3 +220,81 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+
+def _coinwalk_env():
+    src = os.path.dirname(os.path.dirname(coinwalk.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+class TestClosedStdout:
+    # each output is larger than a pipe buffer, so closing early always breaks the pipe
+    @pytest.mark.parametrize("argv,first", [
+        (["dist", "--n", "1000"], b"n,index,exact,decimal\r\n"),
+        (["verify", "--max-n", "40", "--order", "41", "--cap", "8", "--format", "json"],
+         b'[{"route": "dp", "n": 0'),
+    ], ids=["dist", "verify"])
+    def test_reader_closes_early(self, argv, first):
+        proc = subprocess.Popen([sys.executable, "-m", "coinwalk.cli", *argv],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                env=_coinwalk_env())
+        head = proc.stdout.read(len(first))
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 0
+        assert head == first
+        assert err == b""
+
+    def test_verify_keeps_its_verdict(self, monkeypatch):
+        failing = VerifyReport(rows=(ReportRow("dp", 0, "1", "mismatch@0"),) * 1000)
+        monkeypatch.setattr("coinwalk.cli.run_verify", lambda **kwargs: failing)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with open(write_end, "w") as closed:
+            monkeypatch.setattr(sys, "stdout", closed)
+            assert main(["verify", "--format", "json"]) == 1
+
+
+def _grid():
+    sizes, orders, caps = ("0", "1", "2"), ("0", "1", "2"), ("0", "1")
+    for n, cumulative in itertools.product(sizes, ([], ["--cumulative"])):
+        yield ["dist", "--n", n, *cumulative]
+    for n, method, cap in itertools.product(sizes, ("closed", "dp", "series", "oracle"), caps):
+        yield ["pgf", "--n", n, "--method", method, "--cap", cap]
+    for which, order in itertools.product(("even", "odd", "odd-ratio", "full", "ratio",
+                                           "csaki"), orders):
+        yield ["series", "--which", which, "--order", order]
+    for n, rule, cap in itertools.product(sizes, ("cf", "nonneg"), caps):
+        yield ["oracle", "--n", n, "--rule", rule, "--cap", cap]
+    for n, cap in itertools.product(sizes, caps):
+        yield ["conditional", "--n", n, "--cap", cap]
+    for (a, b), order in itertools.product(
+            [("0", "0"), ("1", "1/2"), ("-1", "1/2"), ("0", "1/2"), ("1/0", "1"), ("0", "1/0")],
+            orders):
+        yield ["lagrange", "--a", a, "--b", b, "--order", order]
+    for m, samples, rule, cap in itertools.product(sizes, sizes, ("cf", "nonneg"), caps):
+        yield ["simulate", "--m", m, "--samples", samples, "--rule", rule, "--cap", cap]
+    for sections, n, order, cap in itertools.product(SECTIONS, sizes, orders, caps):
+        yield ["verify", "--sections", sections, "--max-n", n, "--order", order, "--cap", cap,
+               "--format", "json"]
+
+
+class TestNoTraceback:
+    @pytest.mark.parametrize("argv", list(_grid()), ids=" ".join)
+    def test_small_arguments(self, capsys, argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage error
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        if code == 1:
+            assert argv[0] in ("verify", "conditional")
+            if argv[0] == "verify":
+                assert any(row["status"].startswith("mismatch")
+                           and row["route"] not in QUARANTINED for row in json.loads(out))
+            else:
+                assert any(row["equal"] == "False" for row in parse_csv(out))

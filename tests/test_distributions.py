@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
@@ -12,7 +13,7 @@ from coinwalk.distributions import (
     pgf,
 )
 from coinwalk.errors import DomainError
-from coinwalk.qpoly import QPoly
+from coinwalk.qpoly import QPoly, return_prob
 
 F = Fraction
 
@@ -115,3 +116,64 @@ class TestLaw:
     def test_negative_length(self, m):
         with pytest.raises(DomainError):
             law(m)
+
+
+def printed_law(m):
+    """P(N_m = j), j = 0..m, straight from the printed formula in return_prob."""
+    n, u = m // 2, return_prob
+    if m % 2 == 0:
+        mass = [F(0)] * (m + 1)
+        for r in range(n + 1):
+            mass[2 * r] = u(r) * u(n - r)
+        return tuple(mass)
+    mass = [F(0)] * (m + 1)
+    for r in range(n + 1):
+        mass[2 * r] = u(r) * u(n + 1 - r) * F(n - r + 1, n + 1)
+    for r in range(1, n + 2):
+        mass[2 * r - 1] = u(r) * u(n + 1 - r) * F(r, n + 1)
+    return tuple(mass)
+
+
+class TestIntegerLaws:
+    @pytest.mark.parametrize("m", [*range(131), 1000, 1001])
+    def test_matches_printed_formula(self, m):
+        dist = law(m)
+        assert dist.length == m
+        assert dist.mass == printed_law(m)
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 7, 40, 41, 1001])
+    def test_pgf_is_the_law_as_polynomial(self, m):
+        dist = law(m)
+        assert pgf(dist) == QPoly(dist.mass)
+        assert pgf(dist) is pgf(dist)  # stored, not rebuilt
+
+    @pytest.mark.parametrize("m", [0, 5, 40, 41])
+    def test_cdf_is_prefix_sums(self, m):
+        assert cdf(law(m)) == tuple(accumulate(printed_law(m)))
+
+    def test_from_counts(self):
+        assert Distribution.from_counts([3, 1, 1, 3], 8) == odd_distribution(1)
+        assert Distribution.from_counts([0, 1], 1) == Distribution.from_mass([0, 1])
+
+    def test_trailing_zero_slots(self):
+        d = Distribution.from_counts([2, 0, 0], 2)
+        assert d.mass == (F(1), F(0), F(0))
+        assert cdf(d) == (F(1),) * 3
+        assert d[2] == d[-1] == 0 and d[-3] == 1
+
+    @pytest.mark.parametrize("j", [3, -4])
+    def test_index_outside_support(self, j):
+        with pytest.raises(IndexError):
+            even_distribution(1)[j]
+
+    @pytest.mark.parametrize("counts,den", [
+        ([1, 1], 3),  # sums to 2, not 3
+        ([1, 2, 1], 3),
+        ([3, -1], 2),  # negative count
+        ([-1, 0, 2], 1),
+        ([-1, -1], -2),  # negative counts over a negative denominator
+        ([1], 0),
+    ])
+    def test_validation_on_counts(self, counts, den):
+        with pytest.raises(ValueError):
+            Distribution.from_counts(counts, den)

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from coinwalk.distributions import even_distribution, odd_distribution, pgf
+from coinwalk.errors import DomainError
 from coinwalk.lattice import LatticeSlice, dp_pgf, dp_pgf_table, dp_step, initial_slice
 from coinwalk.oracle import PositivityRule, oracle_distribution
 from coinwalk.qpoly import QPoly
@@ -82,3 +83,12 @@ class TestInvariants:
             p = cur.value(x)
             assert p.degree <= n
             assert p(1) == 1
+
+
+class TestDomain:
+    @pytest.mark.parametrize("call", [dp_pgf, dp_pgf_table])
+    @pytest.mark.parametrize("n", [-1, -2])
+    def test_negative_length(self, call, n):
+        # dp_pgf(-1) was the polynomial 1, dp_pgf(-2) an IndexError, dp_pgf_table(-1) [1]
+        with pytest.raises(DomainError):
+            call(n)

@@ -5,6 +5,7 @@ import pytest
 
 from coinwalk.distributions import law
 from coinwalk.oracle import WalkStats
+from coinwalk.series import nonneg_series
 from coinwalk.verify import ReportRow, VerifyReport, run_verify
 
 
@@ -107,3 +108,24 @@ class TestRunVerify:
         assert set(calls.values()) == {1}
         assert {n for kind, n in calls if kind == "law"} == set(range(21))
         assert {n for kind, n in calls if kind == "P"} == set(range(21))
+
+
+class TestCsakiExpansion:
+    @pytest.mark.parametrize("max_n,order,cap,built", [
+        (10, 40, 4, 5), (3, 40, 8, 4), (10, 6, 8, 6), (0, 1, 0, 1),
+    ])
+    def test_built_only_as_far_as_compared(self, monkeypatch, max_n, order, cap, built):
+        orders = []
+
+        def recorded(k):
+            orders.append(k)
+            return nonneg_series(k)
+
+        monkeypatch.setattr("coinwalk.verify.nonneg_series", recorded)
+        report = run_verify(max_n=max_n, order=order, sections="csaki", cap=cap,
+                            strict_csaki=True)
+        assert orders == [built]
+        assert report.passed
+        # every n up to min(max_n, order - 1) still has a row; those past the cap say so
+        assert [r.n for r in report.rows] == list(range(min(max_n, order - 1) + 1))
+        assert all(r.ok == (r.n <= cap) for r in report.rows)
