@@ -23,7 +23,7 @@ from .errors import (
     SqrtDomainError,
     ValuationError,
 )
-from .lattice import LatticeSlice, dp_pgf, dp_pgf_table, dp_step, initial_slice
+from .lattice import dp_pgf, dp_pgf_table
 from .legendre import (
     even_pgf,
     even_pgf_via_legendre,
@@ -76,7 +76,6 @@ __all__ = [
     "Distribution",
     "DomainError",
     "InexactDivision",
-    "LatticeSlice",
     "PositivityRule",
     "QPoly",
     "ReportRow",
@@ -93,14 +92,12 @@ __all__ = [
     "count_positive",
     "dp_pgf",
     "dp_pgf_table",
-    "dp_step",
     "enumerate_walks",
     "even_distribution",
     "even_pgf",
     "even_pgf_via_legendre",
     "extract_pgf",
     "format_poly",
-    "initial_slice",
     "lagrange_series",
     "law",
     "legendre",

@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from typing import Iterable
 
 from .distributions import cdf, conditional_positive, law, pgf
 from .errors import CoinwalkError
@@ -48,9 +49,9 @@ def _dec(x) -> str:
     return f"{float(x):.15g}"
 
 
-def _emit(rows: list[dict], fieldnames: list[str], fmt: str):
+def _emit(rows: Iterable[dict], fieldnames: list[str], fmt: str):
     if fmt == "json":
-        print(json.dumps(rows, indent=None))
+        print(json.dumps(list(rows), indent=None))
     else:
         writer = csv.DictWriter(sys.stdout, fieldnames=fieldnames)
         writer.writeheader()
@@ -59,11 +60,11 @@ def _emit(rows: list[dict], fieldnames: list[str], fmt: str):
 
 def _emit_values(tables, fmt: str):
     """Emit (n, values) pairs as the fixed n, index, exact, decimal value table."""
-    rows = [
+    rows = (
         {"n": n, "index": j, "exact": str(v), "decimal": _dec(v)}
         for n, values in tables
         for j, v in enumerate(values or (0,))  # () is the zero polynomial: row n,0,0,0
-    ]
+    )
     _emit(rows, ["n", "index", "exact", "decimal"], fmt)
 
 

@@ -20,59 +20,22 @@ That closed boundary lets a slice at time n live on the finite window
 -n..n.  p(n, 0) computed this way uses no generating-function machinery at
 all, which is exactly why it is worth having: it cross-checks the closed
 forms and the series expansions from an independent direction.
+
+The sweep runs on integer path counts P(n, x) = 2^n p(n, x): the coefficient
+of q^k counts the n-step paths from x with k positive steps.  The recursion
+becomes P = q(P+ + P-) for x > 0, q P+ + P- at 0 and P+ + P- for x < 0, with
+the boundary 2^n q^n above the window and 2^n below it, so it only adds and
+multiplies by q.  Each P(n, x) is packed into one int with (n_max + 2)-bit
+slots; no coefficient exceeds 2^n_max, so no carry crosses a slot.  These are
+still plain path counts: no generating-function machinery enters.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
 from .qpoly import QPoly
-
-_HALF = Fraction(1, 2)
-_HALF_Q = QPoly((0, _HALF))  # q/2
-
-
-@dataclass(frozen=True)
-class LatticeSlice:
-    """Values p(n, x) for x in -n..n; index i holds x = i - n."""
-
-    n: int
-    values: tuple[QPoly, ...]
-
-    def __post_init__(self):
-        if len(self.values) != 2 * self.n + 1:
-            raise ValueError("slice must cover -n..n")
-
-    def value(self, x: int) -> QPoly:
-        """p(n, x), using the forced closed form outside the window."""
-        if x > self.n:
-            return QPoly.monomial(self.n)
-        if x < -self.n:
-            return QPoly.one()
-        return self.values[x + self.n]
-
-
-def initial_slice() -> LatticeSlice:
-    """Time 0: a count over zero steps is 0 wherever the walk starts."""
-    return LatticeSlice(0, (QPoly.one(),))
-
-
-def dp_step(prev: LatticeSlice) -> LatticeSlice:
-    """Advance one time step, widening the window by one site on each side."""
-    n = prev.n + 1
-    out = []
-    for x in range(-n, n + 1):
-        up = prev.value(x + 1)
-        down = prev.value(x - 1)
-        if x > 0:
-            out.append((up + down) * _HALF_Q)
-        elif x == 0:
-            out.append(up * _HALF_Q + down.scale(_HALF))
-        else:
-            out.append((up + down).scale(_HALF))
-    return LatticeSlice(n, tuple(out))
 
 
 def dp_pgf(n: int) -> QPoly:
@@ -81,12 +44,26 @@ def dp_pgf(n: int) -> QPoly:
 
 
 def dp_pgf_table(n_max: int) -> list[QPoly]:
-    """[p(0,0), p(1,0), ..., p(n_max,0)] from a single sweep."""
+    """[p(0,0), p(1,0), ..., p(n_max,0)] from a single sweep.
+
+    Each count polynomial P(n, x) is packed into one int, q^k's coefficient
+    in bits [k w, (k+1) w) with w = n_max + 2.  A coefficient counts paths,
+    so it is at most 2^n <= 2^n_max, and so is a sum P+ + P- of two slices
+    at time n - 1: no value reaches 2^w and no carry crosses a slot.
+    Multiplying by q is then ``<< w`` and a site update is one int add.
+    Only P(n, 0) is unpacked, once per n.
+    """
     if n_max < 0:
         raise DomainError(f"walk length must be non-negative, got {n_max}")
-    cur = initial_slice()
-    out = [cur.value(0)]
-    for _ in range(n_max):
-        cur = dp_step(cur)
-        out.append(cur.value(0))
+    w = n_max + 2
+    mask = (1 << w) - 1
+    cur = [1]  # P(0, 0): the empty path, count 0
+    out = [QPoly.one()]
+    for n in range(1, n_max + 1):
+        below, above = 1 << (n - 1), 1 << (n - 1 + w * (n - 1))  # 2^(n-1), 2^(n-1) q^(n-1)
+        prev = [below, below, *cur, above, above]  # time n-1 at x = -n-1..n+1
+        sums = [down + up for down, up in zip(prev, prev[2:])]  # x = -n..n
+        cur = sums[:n] + [(prev[n + 2] << w) + prev[n]] + [s << w for s in sums[n + 1:]]
+        counts = [(cur[n] >> (w * k)) & mask for k in range(n + 1)]
+        out.append(QPoly(counts).scale(Fraction(1, 1 << n)))
     return out

@@ -21,6 +21,7 @@ from functools import cache
 from itertools import accumulate
 
 from .distributions import even_distribution, pgf
+from .errors import DomainError
 from .qpoly import QPoly, Scalar, binomial
 
 _Q_PLUS_1 = QPoly((1, 1))
@@ -29,7 +30,7 @@ _Q_PLUS_1 = QPoly((1, 1))
 def legendre(n: int) -> QPoly:
     """P_n(x) = 2^-n sum_k (-1)^k C(n,k) C(2n-2k,n) x^(n-2k), k = 0..n/2."""
     if n < 0:
-        raise ValueError("degree must be non-negative")
+        raise DomainError(f"degree must be non-negative, got {n}")
     coeffs = [0] * (n + 1)
     for k in range(n // 2 + 1):
         c = binomial(n, k) * binomial(2 * n - 2 * k, n)
@@ -124,7 +125,7 @@ def lagrange_series(a: Scalar, b: Scalar, order: int) -> tuple[Fraction, ...]:
     When a^2 - 4b^2 = 1 the coefficients are the Legendre values P_m(a).
     """
     if order < 0:
-        raise ValueError("order must be non-negative")
+        raise DomainError(f"order must be non-negative, got {order}")
     a = Fraction(a)
     c = a**2 - 4 * Fraction(b) ** 2
     out = [Fraction(1), a][:order]

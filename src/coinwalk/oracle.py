@@ -81,7 +81,7 @@ def count_positive(steps: Sequence[int], rule: PositivityRule) -> int:
 def enumerate_walks(n: int, rule: PositivityRule, cap: int = DEFAULT_CAP) -> WalkStats:
     """Exact histogram over all 2^n equally likely sign sequences."""
     if n < 0:
-        raise ValueError("n must be non-negative")
+        raise DomainError(f"n must be non-negative, got {n}")
     if n > _MAX_N:
         raise DomainError(f"n={n} exceeds {_MAX_N}, the widest walk a uint32 path id encodes")
     if n > cap:
@@ -136,7 +136,7 @@ def oracle_distribution(n: int, rule: PositivityRule, cap: int = DEFAULT_CAP) ->
 def oracle_conditional(n: int, cap: int = DEFAULT_CAP) -> tuple[Fraction, ...]:
     """P(sum after 2n-1 steps > 0 | count over 2n steps = 2r), r = 0..n, by enumeration."""
     if n < 1:
-        raise ValueError("n must be positive")
+        raise DomainError(f"n must be positive, got {n}")
     stats = enumerate_walks(2 * n, PositivityRule.CHUNG_FELLER, cap=cap)
     return tuple(
         Fraction(stats.joint_pos[2 * r], stats.count_hist[2 * r]) for r in range(n + 1)

@@ -22,7 +22,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .errors import InexactDivision
+from .errors import DomainError, InexactDivision
 
 Scalar = Union[int, Fraction]
 
@@ -98,6 +98,8 @@ class QPoly:
     @classmethod
     def monomial(cls, k: int, coeff: Scalar = 1) -> "QPoly":
         """coeff * q^k"""
+        if k < 0:
+            raise DomainError(f"exponent must be non-negative, got {k}")
         return cls((0,) * k + (coeff,))
 
     # -- structure ----------------------------------------------------
@@ -191,6 +193,8 @@ class QPoly:
 
     def shift(self, k: int) -> "QPoly":
         """Multiply by q^k."""
+        if k < 0:
+            raise DomainError(f"exponent must be non-negative, got {k}")
         if not self._nums:
             return self
         return QPoly._make([0] * k + list(self._nums), self._den)

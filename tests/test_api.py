@@ -1,0 +1,38 @@
+import pytest
+
+import coinwalk
+from coinwalk.errors import DomainError
+from coinwalk.legendre import lagrange_series, legendre
+from coinwalk.oracle import PositivityRule, enumerate_walks, oracle_conditional
+from coinwalk.qpoly import QPoly
+
+
+class TestPublicSurface:
+    def test_every_export_resolves(self):
+        missing = [name for name in coinwalk.__all__ if not hasattr(coinwalk, name)]
+        assert missing == []
+
+    def test_no_duplicate_exports(self):
+        assert len(set(coinwalk.__all__)) == len(coinwalk.__all__)
+
+    def test_star_import(self):
+        namespace = {}
+        exec("from coinwalk import *", namespace)
+        assert set(coinwalk.__all__) <= namespace.keys()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: QPoly.q().shift(-1),  # was q
+    lambda: QPoly.one().shift(-2),
+    lambda: QPoly.zero().shift(-1),
+    lambda: QPoly.monomial(-1),  # was 1
+    lambda: QPoly.monomial(-2, 5),  # was 5
+    lambda: legendre(-1),
+    lambda: lagrange_series(1, 0, -1),
+    lambda: enumerate_walks(-1, PositivityRule.CHUNG_FELLER),
+    lambda: oracle_conditional(0),
+], ids=["shift-q", "shift-one", "shift-zero", "monomial", "monomial-coeff",
+        "legendre", "lagrange_series", "enumerate_walks", "oracle_conditional"])
+def test_negative_exponent_or_size_is_a_domain_error(call):
+    with pytest.raises(DomainError):
+        call()

@@ -1,16 +1,79 @@
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
 
-from coinwalk.distributions import even_distribution, odd_distribution, pgf
+from coinwalk.distributions import even_distribution, law, odd_distribution, pgf
 from coinwalk.errors import DomainError
-from coinwalk.lattice import LatticeSlice, dp_pgf, dp_pgf_table, dp_step, initial_slice
+from coinwalk.lattice import dp_pgf, dp_pgf_table
 from coinwalk.oracle import PositivityRule, oracle_distribution
 from coinwalk.qpoly import QPoly
 
 F = Fraction
 
 TABLE = dp_pgf_table(40)
+
+# Reference for the packed sweep: the same recursion on QPoly slices p(n, x),
+# scaled by 1/2 at every step, with the closed boundary outside -n..n.
+_HALF = Fraction(1, 2)
+_HALF_Q = QPoly((0, _HALF))  # q/2
+
+
+@dataclass(frozen=True)
+class LatticeSlice:
+    """Values p(n, x) for x in -n..n; index i holds x = i - n."""
+
+    n: int
+    values: tuple[QPoly, ...]
+
+    def __post_init__(self):
+        if len(self.values) != 2 * self.n + 1:
+            raise ValueError("slice must cover -n..n")
+
+    def value(self, x: int) -> QPoly:
+        """p(n, x), using the forced closed form outside the window."""
+        if x > self.n:
+            return QPoly.monomial(self.n)
+        if x < -self.n:
+            return QPoly.one()
+        return self.values[x + self.n]
+
+
+def initial_slice() -> LatticeSlice:
+    """Time 0: a count over zero steps is 0 wherever the walk starts."""
+    return LatticeSlice(0, (QPoly.one(),))
+
+
+def dp_step(prev: LatticeSlice) -> LatticeSlice:
+    """Advance one time step, widening the window by one site on each side."""
+    n = prev.n + 1
+    out = []
+    for x in range(-n, n + 1):
+        up = prev.value(x + 1)
+        down = prev.value(x - 1)
+        if x > 0:
+            out.append((up + down) * _HALF_Q)
+        elif x == 0:
+            out.append(up * _HALF_Q + down.scale(_HALF))
+        else:
+            out.append((up + down).scale(_HALF))
+    return LatticeSlice(n, tuple(out))
+
+
+class TestReference:
+    def test_table_matches_slice_recursion(self):
+        cur = initial_slice()
+        for n in range(41):
+            assert TABLE[n] == cur.value(0)
+            cur = dp_step(cur)
+
+    @pytest.fixture(scope="class")
+    def table_257(self):
+        return dp_pgf_table(257)
+
+    @pytest.mark.parametrize("m", [255, 256, 257])
+    def test_matches_law_at_256(self, table_257, m):
+        assert table_257[m] == pgf(law(m))
 
 
 class TestStep:
