@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 from fractions import Fraction
 
@@ -146,3 +147,44 @@ class TestReporting:
         hist = [0] * 11
         hist[5] = 1000
         assert arcsine_sup_distance(hist) > 0.3
+
+
+class TestFrozenHistograms:
+    # sha256 prefixes of simulate(SimConfig(m, 3000, seed, rule)), recorded
+    # with the row-major cumsum kernel
+    TOP = (1 << 64) - 1
+    PINS = {
+        (0, 0, CF): "12cd49f540fdb912",
+        (0, 0, NN): "b56f4d85dc119aec",
+        (0, TOP, CF): "12cd49f540fdb912",
+        (0, TOP, NN): "b56f4d85dc119aec",
+        (1, 0, CF): "ef21cf79c09d1f40",
+        (1, 0, NN): "abe7062dce246cf5",
+        (1, TOP, CF): "78bc6e6abc4fc974",
+        (1, TOP, NN): "154abd50648dcc0d",
+        (63, 0, CF): "f1f7fa80fd853db8",
+        (63, 0, NN): "705d0eb156bc983c",
+        (63, TOP, CF): "f5e2fe8750166462",
+        (63, TOP, NN): "56f5c8d90e59c3d9",
+        (64, 0, CF): "98f35cd45fdda9c9",
+        (64, 0, NN): "cd57b2034c6103b5",
+        (64, TOP, CF): "7430a12ea5154439",
+        (64, TOP, NN): "1b08fdfec1f6858d",
+        (65, 0, CF): "3757688c790ec24c",
+        (65, 0, NN): "9ddf81cf213b76e4",
+        (65, TOP, CF): "adb2cbe13e69992a",
+        (65, TOP, NN): "6a4216962ddf5bcd",
+        (128, 0, CF): "c256b8b7c2392a32",
+        (128, 0, NN): "266669a1bd48c9b2",
+        (128, TOP, CF): "09cfa241fbded409",
+        (128, TOP, NN): "50d2f8f1bb6cc23b",
+        (1000, 0, CF): "f418d26617c2aceb",
+        (1000, 0, NN): "de670ff34d8ac3c8",
+        (1000, TOP, CF): "2697544f8310aefb",
+        (1000, TOP, NN): "45448e1b6f4eddce",
+    }
+
+    @pytest.mark.parametrize("m,seed,rule", sorted(PINS, key=lambda k: (k[0], k[1], k[2].value)))
+    def test_pinned(self, m, seed, rule):
+        hist = simulate(SimConfig(m=m, samples=3000, seed=seed, rule=rule))
+        assert hashlib.sha256(repr(hist).encode()).hexdigest()[:16] == self.PINS[m, seed, rule]

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 from itertools import accumulate, product
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coinwalk.distributions import even_distribution, odd_distribution
+from coinwalk.distributions import even_distribution, law, odd_distribution
 from coinwalk.errors import CapExceeded, DomainError
 from coinwalk.oracle import (
     PositivityRule,
@@ -140,3 +141,32 @@ class TestOracleConditional:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_equals_r_over_n(self, n):
         assert oracle_conditional(n) == tuple(F(r, n) for r in range(n + 1))
+
+
+def digest(value):
+    return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
+
+
+class TestFrozenEnumeration:
+    # sha256 prefixes of (count_hist, joint_pos), recorded with the row-major
+    # cumsum kernel; every size spans more than one 2^16-path block
+    PINS = {
+        (17, CF): "3d6735090785b2d5",
+        (17, NN): "1fb0de1d337be78f",
+        (20, CF): "bf1c4927297a6eee",
+        (20, NN): "0c443b58500105e6",
+        (24, CF): "6acc510f10cb38bf",
+        (24, NN): "9775fd44d0212989",
+    }
+
+    @pytest.mark.parametrize("n,rule", sorted(PINS, key=lambda k: (k[0], k[1].value)))
+    def test_pinned(self, n, rule):
+        stats = enumerate_walks(n, rule)
+        assert digest((stats.count_hist, stats.joint_pos)) == self.PINS[n, rule]
+
+    @pytest.mark.parametrize("n", [17, 18])
+    def test_multi_block_matches_law(self, n):
+        assert oracle_distribution(n, CF) == law(n)
+
+    def test_multi_block_conditional(self):
+        assert oracle_conditional(9) == tuple(F(r, 9) for r in range(10))
