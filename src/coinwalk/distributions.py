@@ -45,16 +45,16 @@ class Distribution:
     def __init__(self, length: int, mass: Iterable[Scalar]):
         mass = tuple(mass)
         if length != len(mass) - 1:
-            raise ValueError(f"length {length} inconsistent with {len(mass)} masses")
+            raise DomainError(f"length {length} inconsistent with {len(mass)} masses")
         self._set(length, QPoly(mass))
 
     def _set(self, length: int, poly: QPoly) -> None:
         """Store the law with PGF `poly`, checked on its integer numerators."""
         nums, den = poly.numerators
         if any(c < 0 for c in nums):
-            raise ValueError("negative probability mass")
+            raise DomainError("negative probability mass")
         if sum(nums) != den:
-            raise ValueError(f"masses sum to {Fraction(sum(nums), den)}, not 1")
+            raise DomainError(f"masses sum to {Fraction(sum(nums), den)}, not 1")
         object.__setattr__(self, "length", length)
         object.__setattr__(self, "_pgf", poly)
 
@@ -67,7 +67,7 @@ class Distribution:
     def from_counts(cls, counts: Sequence[int], den: int) -> "Distribution":
         """The law P(N = j) = counts[j] / den, j = 0..len(counts)-1, built on integers."""
         if den <= 0:
-            raise ValueError(f"denominator {den} is not positive")
+            raise DomainError(f"denominator {den} is not positive")
         out = cls.__new__(cls)
         out._set(len(counts) - 1, QPoly(counts).scale(Fraction(1, den)))
         return out

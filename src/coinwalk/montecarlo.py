@@ -19,8 +19,11 @@ bit = +1.  Because every word is addressed absolutely, the histogram is
 bit-identical no matter how the sample range is partitioned into blocks,
 so any internal or concurrent blocking is invisible.
 
-`simulate` counts with the enumeration module's vectorized kernel.  The
-independent references are `walk_steps`, which rebuilds any sample's steps in
+`simulate` counts with the enumeration module's step-major kernel.  Each
+block's words are transposed once to one int8 row per octet, so step k of
+every walk is bit (k-1) & 7 of row (k-1) >> 3, shifted and masked into one
+reused buffer.  A walk costs 8 W octet bytes plus its counters, not m bytes.
+The independent references are `walk_steps`, which rebuilds any sample's steps in
 plain Python, and `count_positive`, the per-path rule the tests re-count walks
 with.  Floating point appears only in the reporting helpers (`tv_distance`,
 `arcsine_sup_distance`), never in the counts.
@@ -43,7 +46,7 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _MASK64 = (1 << 64) - 1
 
-_BLOCK = 2048
+_BLOCK = 8192
 
 
 def splitmix64(seed: int, index: int) -> int:
@@ -78,9 +81,9 @@ class SimConfig:
 
     def __post_init__(self):
         if self.m < 0:
-            raise ValueError("walk length must be non-negative")
+            raise DomainError("walk length must be non-negative")
         if self.samples < 1:
-            raise ValueError("need at least one sample")
+            raise DomainError("need at least one sample")
 
 
 def _words_per_walk(m: int) -> int:
@@ -105,18 +108,20 @@ def simulate(cfg: SimConfig, block: int = _BLOCK) -> tuple[int, ...]:
     m = cfg.m
     size = m + 2 if cfg.rule is PositivityRule.NON_NEGATIVE else m + 1
     hist = np.zeros(size, dtype=np.int64)
-    # keep block * m bounded; harmless because results are block-invariant
-    block = max(1, min(block, (1 << 24) // max(m, 1)))
     w = _words_per_walk(m)
+    # keep 16 MB above block * (8*w octets + 16 counter bytes); results are block-invariant
+    block = max(1, min(block, (1 << 24) // (8 * w + 16)))
     seed = np.uint64(cfg.seed & _MASK64)
     word_offsets = np.arange(w, dtype=np.uint64)
     for start in range(0, cfg.samples, block):
         stop = min(start + block, cfg.samples)
         idx = np.arange(start, stop, dtype=np.uint64)[:, None] * np.uint64(w) + word_offsets
         words = _mix_block(seed + (idx + np.uint64(1)) * np.uint64(_GOLDEN))
-        octets = words.astype("<u8", copy=False).view(np.uint8)
-        bits = np.unpackbits(octets, axis=1, count=m, bitorder="little")
-        counts, _ = _count_walks(bits, cfg.rule)
+        octets = words.astype("<u8", copy=False).view(np.int8).T[: (m + 7) // 8].copy()
+        bit = np.empty(stop - start, dtype=np.int8)  # the int8 shift copies the sign; & 1 drops it
+        steps = (np.bitwise_and(np.right_shift(octets[k >> 3], k & 7, out=bit), 1, out=bit)
+                 for k in range(m))
+        counts, _ = _count_walks(steps, m, stop - start, cfg.rule)
         hist += np.bincount(counts, minlength=size)
     return tuple(int(c) for c in hist)
 

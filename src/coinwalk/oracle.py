@@ -2,11 +2,14 @@
 
 Deliberately dumb: every one of the 2^n paths is evaluated on its own, with
 no combinatorial shortcuts, so this module stays a trustworthy oracle for the
-closed forms.  Paths are uint32 ids 0..2^n-1 (so n <= 32), bit k giving the
-sign of step k+1 (set bit = +1).  The heavy loop runs in numpy over blocks of
-paths, which changes speed only; its kernel `_count_walks` also counts the
-Monte Carlo walks, and `count_positive` is the plain per-path reference the
-tests pin both routes' histograms to.
+closed forms.  Paths are ids 0..2^n-1 (so n <= 32, the width of a uint32
+id), bit k giving the sign of step k+1 (set bit = +1).  The step-major kernel
+`_count_walks` keeps one running sum and one count per walk of a block, on
+the narrowest type that cannot overflow, and updates each at every step; it
+also counts the Monte Carlo walks.  Enumeration feeds it steps below
+log2(block) from a bit table of the block's ids and each higher step as one
+int for the whole block, so memory stays near 2 MB whatever n.
+`count_positive` is the plain per-path reference both routes are tested with.
 
 Two counting rules:
 
@@ -25,7 +28,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -35,7 +38,7 @@ from .errors import CapExceeded, DomainError
 DEFAULT_CAP = 24
 _MAX_N = 32  # the widest walk a uint32 path id encodes
 
-_BLOCK = 1 << 16
+_BLOCK = 1 << 16  # paths per block: each int8 vector is 64 KB, cache-resident
 
 
 class PositivityRule(enum.Enum):
@@ -89,19 +92,25 @@ def enumerate_walks(n: int, rule: PositivityRule, cap: int = DEFAULT_CAP) -> Wal
     return _enumerate(n, rule)
 
 
-def _count_walks(bits: np.ndarray, rule: PositivityRule) -> tuple[np.ndarray, np.ndarray]:
-    """Counts and partial sums of walks given as uint8 0/1 step bits, one row each.
+def _count_walks(steps: Iterable[np.ndarray | int], n: int, size: int,
+                 rule: PositivityRule) -> tuple[np.ndarray, np.ndarray]:
+    """Counts and final sums of `size` walks of n steps, advanced step by step.
 
-    Set bit = +1.  The sums are int16 below 2^15 steps and int32 above: the
-    narrowest type that cannot overflow.
+    `steps` yields the 0/1 bits b_k of steps 1..n (set bit = +1), each an
+    int8 vector over the walks or one int shared by all of them.  Sums and
+    counts use the narrowest type that holds n + 1.
     """
-    dtype = np.int16 if bits.shape[1] < 1 << 15 else np.int32
-    sums = (bits.view(np.int8) * 2 - 1).cumsum(axis=1, dtype=dtype)
-    if rule is PositivityRule.NON_NEGATIVE:
-        counts = (sums >= 0).sum(axis=1) + 1
-    else:
-        # the tie rule as S_k >= b_k: S_k = 0 follows S_{k-1} > 0 iff step k is down
-        counts = (sums >= bits).sum(axis=1)
+    dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64) if n < np.iinfo(t).max)
+    chung_feller = rule is PositivityRule.CHUNG_FELLER
+    sums = np.zeros(size, dtype)
+    counts = np.full(size, 0 if chung_feller else 1, dtype)  # NON_NEGATIVE counts S_0 = 0
+    flag = np.empty(size, dtype=bool)
+    for bit in steps:
+        sums += bit
+        sums += bit
+        sums -= 1
+        np.greater_equal(sums, bit if chung_feller else 0, out=flag)
+        counts += flag.view(np.int8)
     return counts, sums
 
 
@@ -109,14 +118,16 @@ def _count_walks(bits: np.ndarray, rule: PositivityRule) -> tuple[np.ndarray, np
 def _enumerate(n: int, rule: PositivityRule) -> WalkStats:
     hist = np.zeros(n + 2, dtype=np.int64)
     joint = np.zeros(n + 2, dtype=np.int64)
-    for start in range(0, 1 << n, _BLOCK):
-        stop = min(start + _BLOCK, 1 << n)
-        ids = np.arange(start, stop, dtype="<u4").view(np.uint8).reshape(stop - start, 4)
-        bits = np.unpackbits(ids, axis=1, count=n, bitorder="little")
-        counts, sums = _count_walks(bits, rule)
+    block = min(_BLOCK, 1 << n)
+    low = block.bit_length() - 1  # steps 1..low vary inside a block
+    ids = np.arange(block, dtype="<u4").view(np.uint8).reshape(block, 4)
+    table = np.unpackbits(ids, axis=1, count=low, bitorder="little").T.copy().view(np.int8)
+    for start in range(0, 1 << n, block):
+        bits = [*table, *((start >> k) & 1 for k in range(low, n))]
+        counts, sums = _count_walks(bits, n, block, rule)
         hist += np.bincount(counts, minlength=n + 2)
-        if n >= 2:
-            joint += np.bincount(counts[sums[:, n - 2] > 0], minlength=n + 2)
+        if n >= 2:  # S_{n-1} is the final sum minus the last step
+            joint += np.bincount(counts[sums - (2 * bits[-1] - 1) > 0], minlength=n + 2)
     return WalkStats(n=n, rule=rule, count_hist=tuple(int(c) for c in hist),
                      joint_pos=tuple(int(c) for c in joint))
 

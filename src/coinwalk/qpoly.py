@@ -34,7 +34,7 @@ def binomial(n: int, k: int) -> int:
     checks.  Negative arguments are a usage error.
     """
     if n < 0 or k < 0:
-        raise ValueError(f"binomial needs non-negative arguments, got ({n}, {k})")
+        raise DomainError(f"binomial needs non-negative arguments, got ({n}, {k})")
     if k > n:
         return 0
     return math.comb(n, k)

@@ -75,9 +75,9 @@ class BivariateSeries:
 
     def __post_init__(self):
         if self.order < 1:
-            raise ValueError("order must be at least 1")
+            raise DomainError("order must be at least 1")
         if len(self.coeffs) != self.order:
-            raise ValueError("coefficient count must equal order")
+            raise DomainError("coefficient count must equal order")
 
     # -- constructors ---------------------------------------------------
 
@@ -87,7 +87,7 @@ class BivariateSeries:
         cs = [QPoly.zero()] * order
         for k, c in terms.items():
             if k < 0:
-                raise ValueError("negative z-power")
+                raise DomainError("negative z-power")
             if k < order:
                 cs[k] = _as_poly(c)
         return cls(order, tuple(cs))
@@ -116,7 +116,7 @@ class BivariateSeries:
 
     def truncate(self, order: int) -> "BivariateSeries":
         if order > self.order:
-            raise ValueError(f"cannot extend order {self.order} to {order}")
+            raise DomainError(f"cannot extend order {self.order} to {order}")
         return BivariateSeries(order, self.coeffs[:order])
 
     # -- linear arithmetic ------------------------------------------------

@@ -24,6 +24,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .distributions import law, pgf
+from .errors import DomainError
 from .lattice import dp_pgf_table
 from .legendre import (
     even_pgf,
@@ -205,7 +206,7 @@ def run_verify(max_n: int = 12, order: int = 32, sections: str = "all",
                cap: int = DEFAULT_CAP, strict_csaki: bool = False) -> VerifyReport:
     """Run the selected cross-route checks and collect the report."""
     if sections not in SECTIONS:
-        raise ValueError(f"unknown section {sections!r}; choose from {SECTIONS}")
+        raise DomainError(f"unknown section {sections!r}; choose from {SECTIONS}")
     rows: list[ReportRow] = []
     cap = min(cap, _MAX_N)  # walks too long for a path id are skipped:cap too
     if sections in ("all", "even", "odd"):

@@ -3,8 +3,11 @@ import pytest
 import coinwalk
 from coinwalk.errors import DomainError
 from coinwalk.legendre import lagrange_series, legendre
+from coinwalk.montecarlo import SimConfig
 from coinwalk.oracle import PositivityRule, enumerate_walks, oracle_conditional
-from coinwalk.qpoly import QPoly
+from coinwalk.qpoly import QPoly, binomial
+from coinwalk.series import BivariateSeries
+from coinwalk.verify import run_verify
 
 
 class TestPublicSurface:
@@ -31,8 +34,14 @@ class TestPublicSurface:
     lambda: lagrange_series(1, 0, -1),
     lambda: enumerate_walks(-1, PositivityRule.CHUNG_FELLER),
     lambda: oracle_conditional(0),
+    lambda: binomial(-1, 0),  # was a plain ValueError, as were the four below
+    lambda: SimConfig(m=-1, samples=1, seed=0),
+    lambda: SimConfig(m=4, samples=0, seed=0),
+    lambda: BivariateSeries(0, ()),
+    lambda: run_verify(sections="nope"),
 ], ids=["shift-q", "shift-one", "shift-zero", "monomial", "monomial-coeff",
-        "legendre", "lagrange_series", "enumerate_walks", "oracle_conditional"])
+        "legendre", "lagrange_series", "enumerate_walks", "oracle_conditional",
+        "binomial", "simconfig-m", "simconfig-samples", "series-order", "verify-sections"])
 def test_negative_exponent_or_size_is_a_domain_error(call):
     with pytest.raises(DomainError):
         call()

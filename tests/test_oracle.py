@@ -50,23 +50,32 @@ def bit_rows(n):
                                           min_size=1, max_size=6))
 
 
+def step_bits(rows, n, share):
+    """Step k's bits as an int8 column, or as one int where `share` and every row agree."""
+    for k in range(n):
+        column = {row[k] for row in rows}
+        yield column.pop() if share and len(column) == 1 else np.array([row[k] for row in rows], np.int8)
+
+
 class TestCountingKernel:
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 200).flatmap(bit_rows), st.sampled_from([CF, NN]))
-    def test_matches_per_path_reference(self, walks, rule):
+    @given(st.integers(0, 200).flatmap(bit_rows), st.sampled_from([CF, NN]), st.booleans())
+    def test_matches_per_path_reference(self, walks, rule, share):
         n, rows = walks
-        counts, sums = _count_walks(np.array(rows, dtype=np.uint8).reshape(len(rows), n), rule)
+        counts, sums = _count_walks(step_bits(rows, n, share), n, len(rows), rule)
         steps = [[2 * b - 1 for b in row] for row in rows]
         assert counts.tolist() == [count_positive(s, rule) for s in steps]
-        assert sums.tolist() == [list(accumulate(s)) for s in steps]
+        assert sums.tolist() == [list(accumulate(s, initial=0))[-1] for s in steps]
+        assert sums.dtype == counts.dtype == (np.int8 if n < 127 else np.int16)
 
     @pytest.mark.parametrize("rule,expected", [(CF, 40000), (NN, 40001)])
     def test_long_walk_uses_int32_sums(self, rule, expected):
         # 20,000 up, then 20,000 down: every step counts, the last one by the tie rule
         steps = [1] * 20000 + [-1] * 20000
-        bits = np.array([[1] * 20000 + [0] * 20000], dtype=np.uint8)
-        counts, sums = _count_walks(bits, rule)
+        bits = [[1] * 20000 + [0] * 20000]
+        counts, sums = _count_walks(step_bits(bits, 40000, False), 40000, 1, rule)
         assert sums.dtype == np.int32
+        assert sums.tolist() == [0]
         assert counts.tolist() == [count_positive(steps, rule)] == [expected]
 
 
