@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import itertools
 import json
@@ -188,6 +189,24 @@ class TestVerify:
         rows = json.loads(out)
         assert code == 0
         assert all(r["status"] == "ok" for r in rows)
+
+
+class TestPinnedOutput:
+    # sha256 prefixes of repr((stdout, stderr, exit code)) through cli.main; a
+    # refactor of the harness or its formatter must leave every byte alone
+    PINS = {
+        "verify --max-n 64 --order 65 --cap 16 --format json": "cc74e1f67000f20d",
+        "verify --max-n 22 --order 23 --cap 22 --format json": "470c2e1479002911",
+        "verify --max-n 30 --order 12 --cap 10": "0381c39f8ce39f58",
+        "verify --max-n 12 --order 14 --format csv": "f4c354cb00061ccb",
+        "verify --max-n 9 --order 10 --sections csaki --strict-csaki": "c94d5be6e2819fc6",
+    }
+
+    @pytest.mark.parametrize("argv", sorted(PINS))
+    def test_output_unchanged(self, capsys, argv):
+        code, out, err = run(capsys, *argv.split())
+        digest = hashlib.sha256(repr((out, err, code)).encode()).hexdigest()[:16]
+        assert digest == self.PINS[argv]
 
 
 class TestUsageErrors:

@@ -27,6 +27,16 @@ class TestDistributionType:
         with pytest.raises(ValueError):
             Distribution(length=3, mass=(F(1),))  # inconsistent length
 
+    def test_repr_eq_hash(self):
+        d = Distribution.from_counts([1, 0, 1], 2)
+        assert repr(d) == ("Distribution(length=2, _pgf=QPoly([Fraction(1, 2), Fraction(0, 1), "
+                           "Fraction(1, 2)]))")
+        assert repr(Distribution.from_counts([2, 0, 0], 2)) == (
+            "Distribution(length=2, _pgf=QPoly([Fraction(1, 1)]))")
+        assert d == Distribution.from_mass([F(1, 2), 0, F(1, 2)]) == even_distribution(1)
+        assert hash(d) == hash(even_distribution(1)) == hash((2, pgf(d)))
+        assert d != Distribution.from_counts([1, 0, 1, 0], 2)  # same PGF, one more slot
+
     def test_indexing(self):
         d = even_distribution(1)
         assert d[0] == F(1, 2) and d[2] == F(1, 2)

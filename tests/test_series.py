@@ -177,6 +177,15 @@ class TestProperties:
         assert root.coeff(0) == QPoly.one()
 
 
+class TestOrderDomain:
+    @pytest.mark.parametrize("order", [0, -1, -2, -3, -4, -50])
+    @pytest.mark.parametrize("builder", [pgf_series_even, pgf_series_odd, pgf_series_odd_ratio,
+                                         pgf_series, pgf_series_ratio, nonneg_series])
+    def test_order_below_one(self, builder, order):
+        with pytest.raises(DomainError, match="^order must be at least 1$"):
+            builder(order)
+
+
 class TestEvenExpansion:
     SERIES = pgf_series_even(12)
 

@@ -1,12 +1,17 @@
 import sys
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 from coinwalk.distributions import law
+from coinwalk.lattice import dp_pgf_table
 from coinwalk.oracle import WalkStats
-from coinwalk.series import nonneg_series
-from coinwalk.verify import ReportRow, VerifyReport, run_verify
+from coinwalk.qpoly import QPoly
+from coinwalk.series import BivariateSeries, nonneg_series
+from coinwalk.verify import ReportRow, VerifyReport, _check_ratio_form, _compare, run_verify
+
+F = Fraction
 
 
 def rows_by_route(report, route):
@@ -34,6 +39,55 @@ class TestReportMechanics:
     def test_skips_do_not_gate(self):
         rows = (ReportRow("oracle", 30, "", "skipped:cap"),)
         assert VerifyReport(rows).passed
+
+
+class TestCompare:
+    # the payload is got's coefficients, zero-padded to the longer side
+    @pytest.mark.parametrize("got,want,payload,status", [
+        (QPoly((F(1, 2),)), QPoly((F(1, 2), F(1, 2))), "1/2,0", "mismatch@1"),  # got shorter
+        (QPoly((F(1, 2), 0, F(1, 2))), QPoly((F(1, 2),)), "1/2,0,1/2", "mismatch@2"),  # longer
+        (QPoly((F(3, 8), F(1, 8), F(1, 8), F(3, 8))), QPoly((F(3, 8), F(1, 8), F(1, 8), F(3, 8))),
+         "3/8,1/8,1/8,3/8", "ok"),
+        (QPoly((F(1, 2), 0, F(1, 2))), QPoly((F(1, 2), 0, F(1, 2))), "1/2,0,1/2", "ok"),
+        (QPoly(), QPoly(), "", "ok"),
+        (QPoly(), QPoly((1,)), "0", "mismatch@0"),
+        (QPoly((1, 2, 3, 4)), QPoly((1, 2, 5, 6)), "1,2,3,4", "mismatch@2"),  # first index
+        (QPoly((1, 2, 3, 4)), QPoly((1, 2, 3, 5)), "1,2,3,4", "mismatch@3"),
+    ])
+    def test_polynomials(self, got, want, payload, status):
+        assert _compare("r", 5, got, want) == ReportRow("r", 5, payload, status)
+
+    @pytest.mark.parametrize("got,want,payload,status", [
+        ([F(0), F(1, 2), F(1)], [F(0), F(1, 2), F(1)], "0,1/2,1", "ok"),
+        ((F(0), F(1, 3), F(1)), [F(0), F(1, 2), F(1)], "0,1/3,1", "mismatch@1"),
+        ((F(1), F(2)), [F(1), F(2), F(3)], "1,2,0", "mismatch@2"),
+        ((F(3, 8), F(1, 8), F(1, 8), F(3, 8)), law(3)._pgf, "3/8,1/8,1/8,3/8", "ok"),
+        ((F(3, 8), F(1, 4), F(3, 8)), law(3)._pgf, "3/8,1/4,3/8,0", "mismatch@1"),
+    ])
+    def test_rational_sequences(self, got, want, payload, status):
+        assert _compare("r", 2, got, want) == ReportRow("r", 2, payload, status)
+
+
+class TestRatioFormRow:
+    def test_printed_form_departs_at_z0(self):
+        assert _check_ratio_form(6, dp_pgf_table(4)) == ReportRow("ratio-form", 0, "0",
+                                                                  "mismatch@0")
+
+    @pytest.mark.parametrize("bad,payload", [
+        (QPoly((F(1, 2),)), "1/2,0,0"),  # padded to the n + 1 slots of the z^n law
+        (QPoly((0, 1, 1, 1)), "0,1,1,1"),  # longer than that: printed whole
+    ])
+    def test_payload_of_first_departure(self, monkeypatch, bad, payload):
+        table = dp_pgf_table(3)
+        monkeypatch.setattr("coinwalk.verify.pgf_series_ratio",
+                            lambda order: BivariateSeries(order, (*table[:2], bad, table[3])))
+        assert _check_ratio_form(4, table) == ReportRow("ratio-form", 2, payload, "mismatch@2")
+
+    def test_agreement_row(self, monkeypatch):
+        table = dp_pgf_table(2)
+        monkeypatch.setattr("coinwalk.verify.pgf_series_ratio",
+                            lambda order: BivariateSeries(order, (*table, QPoly((1,)))))
+        assert _check_ratio_form(4, table) == ReportRow("ratio-form", 3, "", "ok")
 
 
 class TestRunVerify:
