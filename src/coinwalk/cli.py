@@ -179,16 +179,14 @@ def cmd_simulate(args) -> int:
 def cmd_verify(args) -> int:
     report = run_verify(max_n=args.max_n, order=args.order, sections=args.sections,
                         cap=args.cap, strict_csaki=args.strict_csaki)
-    if args.format == "json":
-        print(json.dumps([row.__dict__ for row in report.rows]))
-    elif args.format == "csv":
-        _emit([row.__dict__ for row in report.rows],
-              ["route", "n", "payload", "status"], "csv")
-    else:
+    if args.format == "text":
         for row in report.rows:
             print(f"{row.status:>12}  {row.route} n={row.n}")
         verdict = "PASS" if report.passed else "FAIL"
         print(f"verify: {verdict} ({len(report.rows)} checks)")
+    else:
+        _emit([row.__dict__ for row in report.rows], ["route", "n", "payload", "status"],
+              args.format)
     return 0 if report.passed else 1
 
 
@@ -296,13 +294,16 @@ class _Stdout:
 def main(argv=None) -> int:
     stdout = sys.stdout
     sys.stdout = _Stdout(stdout)
+    digits = sys.get_int_max_str_digits()
     try:
         args = build_parser().parse_args(argv)
+        sys.set_int_max_str_digits(0)  # exact columns print integers of any length
         return args.func(args)
     except CoinwalkError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:
+        sys.set_int_max_str_digits(digits)
         sys.stdout.flush()
         sys.stdout = stdout
 

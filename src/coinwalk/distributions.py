@@ -32,45 +32,38 @@ from .errors import DomainError
 from .qpoly import QPoly, Scalar
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class Distribution:
     """Exact PMF of a count statistic over support 0..length.
 
-    Held as its PGF; `length` keeps the trailing slots whose mass is zero.
+    Held as its PGF `_pgf`; `length` keeps the trailing slots whose mass is
+    zero.  Build one with `from_mass` or `from_counts`; every construction
+    checks the law on its integer numerators.
     """
 
     length: int
     _pgf: QPoly
 
-    def __init__(self, length: int, mass: Iterable[Scalar]):
-        mass = tuple(mass)
-        if length != len(mass) - 1:
-            raise DomainError(f"length {length} inconsistent with {len(mass)} masses")
-        self._set(length, QPoly(mass))
-
-    def _set(self, length: int, poly: QPoly) -> None:
-        """Store the law with PGF `poly`, checked on its integer numerators."""
-        nums, den = poly.numerators
+    def __post_init__(self):
+        nums, den = self._pgf.numerators
         if any(c < 0 for c in nums):
             raise DomainError("negative probability mass")
         if sum(nums) != den:
             raise DomainError(f"masses sum to {Fraction(sum(nums), den)}, not 1")
-        object.__setattr__(self, "length", length)
-        object.__setattr__(self, "_pgf", poly)
+        if self._pgf.degree > self.length:
+            raise DomainError(f"PGF degree {self._pgf.degree} exceeds length {self.length}")
 
     @classmethod
     def from_mass(cls, mass: Iterable[Scalar]) -> "Distribution":
         mass = tuple(mass)
-        return cls(len(mass) - 1, mass)
+        return cls(len(mass) - 1, QPoly(mass))
 
     @classmethod
     def from_counts(cls, counts: Sequence[int], den: int) -> "Distribution":
         """The law P(N = j) = counts[j] / den, j = 0..len(counts)-1, built on integers."""
         if den <= 0:
             raise DomainError(f"denominator {den} is not positive")
-        out = cls.__new__(cls)
-        out._set(len(counts) - 1, QPoly(counts).scale(Fraction(1, den)))
-        return out
+        return cls(len(counts) - 1, QPoly(counts).scale(Fraction(1, den)))
 
     @property
     def mass(self) -> tuple[Fraction, ...]:

@@ -99,18 +99,19 @@ def walk_steps(cfg: SimConfig, index: int) -> list[int]:
     return [1 if (words[k // 64] >> (k % 64)) & 1 else -1 for k in range(cfg.m)]
 
 
-def simulate(cfg: SimConfig, block: int = _BLOCK) -> tuple[int, ...]:
+def simulate(cfg: SimConfig) -> tuple[int, ...]:
     """Empirical histogram of the positive-step count over `cfg.samples` walks.
 
-    Deterministic in `cfg` alone; `block` tunes memory use and provably does
-    not affect the result (absolute word addressing).
+    Deterministic in `cfg` alone: walks are counted `_BLOCK` at a time (fewer
+    for long walks, to bound memory), and absolute word addressing keeps the
+    result independent of the block size.
     """
     m = cfg.m
     size = m + 2 if cfg.rule is PositivityRule.NON_NEGATIVE else m + 1
     hist = np.zeros(size, dtype=np.int64)
     w = _words_per_walk(m)
     # keep 16 MB above block * (8*w octets + 16 counter bytes); results are block-invariant
-    block = max(1, min(block, (1 << 24) // (8 * w + 16)))
+    block = max(1, min(_BLOCK, (1 << 24) // (8 * w + 16)))
     seed = np.uint64(cfg.seed & _MASK64)
     word_offsets = np.arange(w, dtype=np.uint64)
     for start in range(0, cfg.samples, block):

@@ -2,8 +2,8 @@
 
 Deliberately dumb: every one of the 2^n paths is evaluated on its own, with
 no combinatorial shortcuts, so this module stays a trustworthy oracle for the
-closed forms.  Paths are ids 0..2^n-1 (so n <= 32, the width of a uint32
-id), bit k giving the sign of step k+1 (set bit = +1).  The step-major kernel
+closed forms.  Paths are ids 0..2^n-1, bit k giving the sign of step k+1
+(set bit = +1), and the cap is the only limit on n.  The step-major kernel
 `_count_walks` keeps one running sum and one count per walk of a block, on
 the narrowest type that cannot overflow, and updates each at every step; it
 also counts the Monte Carlo walks.  Enumeration feeds it steps below
@@ -36,7 +36,6 @@ from .distributions import Distribution
 from .errors import CapExceeded, DomainError
 
 DEFAULT_CAP = 24
-_MAX_N = 32  # the widest walk a uint32 path id encodes
 
 _BLOCK = 1 << 16  # paths per block: each int8 vector is 64 KB, cache-resident
 
@@ -85,8 +84,6 @@ def enumerate_walks(n: int, rule: PositivityRule, cap: int = DEFAULT_CAP) -> Wal
     """Exact histogram over all 2^n equally likely sign sequences."""
     if n < 0:
         raise DomainError(f"n must be non-negative, got {n}")
-    if n > _MAX_N:
-        raise DomainError(f"n={n} exceeds {_MAX_N}, the widest walk a uint32 path id encodes")
     if n > cap:
         raise CapExceeded(f"n={n} exceeds enumeration cap {cap} (2^{n} paths)")
     return _enumerate(n, rule)

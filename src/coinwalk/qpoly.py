@@ -143,6 +143,8 @@ class QPoly:
         return NotImplemented
 
     def __hash__(self):
+        if len(self._nums) <= 1:  # equal to a scalar, so hashed like it
+            return hash(Fraction(self._nums[0], self._den) if self._nums else 0)
         return hash((self._nums, self._den))
 
     # -- ring operations ----------------------------------------------

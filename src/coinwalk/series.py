@@ -209,11 +209,6 @@ def extract_pgf(series: BivariateSeries, n: int) -> QPoly:
 # -- named expansions -------------------------------------------------------
 
 
-def _check_order(order: int):
-    if order < 1:
-        raise DomainError("order must be at least 1")
-
-
 def _sqrt_one_minus_z2(order: int) -> BivariateSeries:
     return BivariateSeries.from_terms({0: 1, 2: -1}, order).sqrt()
 
@@ -225,7 +220,6 @@ def _at_qz(s: BivariateSeries) -> BivariateSeries:
 
 def pgf_series_even(order: int) -> BivariateSeries:
     """1/(sqrt(1-z^2) sqrt(1-q^2 z^2)); z^{2n} coefficient = even-length PGF."""
-    _check_order(order)
     rz = _sqrt_one_minus_z2(order)
     return (rz * _at_qz(rz)).reciprocal()
 
@@ -246,7 +240,6 @@ def pgf_series_odd(order: int) -> BivariateSeries:
     and a failure would falsify the underlying identity (InexactDivision).
     The division by z costs one order, so E is expanded to order + 1.
     """
-    _check_order(order)
     return _odd_from_even(pgf_series_even(order + 1))
 
 
@@ -256,7 +249,6 @@ def pgf_series_odd_ratio(order: int) -> BivariateSeries:
     numerator   sqrt(1-z^2) sqrt(1-q^2 z^2) (qz^2+1) - z^2 (q^2 (z^2-1) - 1) - 1
     denominator (1-z^2)(1-q^2 z^2)(q+1) z
     """
-    _check_order(order)
     o = order + 3
     rz = _sqrt_one_minus_z2(o)
     rqz = _at_qz(rz)
@@ -269,9 +261,9 @@ def pgf_series_odd_ratio(order: int) -> BivariateSeries:
     den = (
         BivariateSeries.from_terms({0: 1, 2: -1}, o)
         * BivariateSeries.from_terms({0: 1, 2: QPoly.monomial(2, -1)}, o)
-        * BivariateSeries.from_terms({1: QPoly((1, 1))}, o)
+        * BivariateSeries.from_terms({0: QPoly((1, 1))}, o)
     )
-    return (num / den).truncate(order)
+    return (num.shift_down(1) / den).truncate(order)  # the denominator's z divides num first
 
 
 def pgf_series(order: int) -> BivariateSeries:
@@ -281,7 +273,6 @@ def pgf_series(order: int) -> BivariateSeries:
     of the sum is kept separately in `pgf_series_ratio` for auditing because
     its transcription is defective (see module docstring).
     """
-    _check_order(order)
     even = pgf_series_even(order + 1)
     return even + _odd_from_even(even)
 
@@ -293,7 +284,6 @@ def pgf_series_ratio(order: int) -> BivariateSeries:
     route coefficient by coefficient and report the first discrepancy; do
     not "fix" terms here.
     """
-    _check_order(order)
     o = order + 2
     rz = _sqrt_one_minus_z2(o)
     rqz = _at_qz(rz)
@@ -332,7 +322,6 @@ def nonneg_series(order: int) -> BivariateSeries:
     of the NON_NEGATIVE count, whose slot-0 mass is empty (S_0 = 0 always
     counts, so the constant coefficient is q, not 1).
     """
-    _check_order(order)
     o = order + 2
     rz = _sqrt_one_minus_z2(o)
     rqz = _at_qz(rz)

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 from .distributions import law, pgf
 from .errors import DomainError
@@ -37,7 +36,7 @@ from .legendre import (
     odd_pgf_via_ratio,
     odd_pgf_via_three_term,
 )
-from .oracle import _MAX_N, DEFAULT_CAP, PositivityRule, oracle_conditional, oracle_distribution
+from .oracle import DEFAULT_CAP, PositivityRule, oracle_conditional, oracle_distribution
 from .qpoly import QPoly
 from .series import (
     BivariateSeries,
@@ -89,24 +88,18 @@ class VerifyReport:
         )
 
 
-def _exact(values: Iterable[Fraction]) -> str:
-    return ",".join(str(v) for v in values)
+def _payload(poly: QPoly, size: int) -> str:
+    """Exact coefficients of `poly`, zero-padded to at least `size` slots."""
+    return ",".join(str(poly.coeff(j)) for j in range(max(size, poly.degree + 1)))
 
 
-def _pad(values: Sequence[Fraction], size: int) -> list[Fraction]:
-    return list(values) + [Fraction(0)] * (size - len(values))
-
-
-def _compare(route: str, n: int, got, want) -> ReportRow:
-    """Row comparing coefficient sequences (QPoly or rational lists), exactly."""
-    got = got.coeffs if isinstance(got, QPoly) else tuple(got)
-    want = want.coeffs if isinstance(want, QPoly) else tuple(want)
-    size = max(len(got), len(want))
-    g, w = _pad(got, size), _pad(want, size)
-    for j in range(size):
-        if g[j] != w[j]:
-            return ReportRow(route, n, _exact(g), f"mismatch@{j}")
-    return ReportRow(route, n, _exact(g), "ok")
+def _compare(route: str, n: int, got: QPoly, want: QPoly) -> ReportRow:
+    """Row comparing two polynomials exactly; a rational sequence is passed as one."""
+    size = max(got.degree, want.degree) + 1
+    status = "ok"
+    if got != want:
+        status = f"mismatch@{next(j for j in range(size) if got.coeff(j) != want.coeff(j))}"
+    return ReportRow(route, n, _payload(got, size), status)
 
 
 def _skipped(route: str, n: int) -> ReportRow:
@@ -144,7 +137,8 @@ def _check_parity(max_n: int, order: int, cap: int, parity: int, dp_table: list[
             rows.append(_compare("identity-derivative", m, odd_pgf_via_derivative(n), closed))
             rows.append(_compare("identity-three-term", m, odd_pgf_via_three_term(n), closed))
             rows.append(_compare("identity-parity-split", m, odd_pgf_via_parity_split(n), closed))
-            rows.append(_compare("partial-sums", m, odd_masses_via_partial_sums(n), closed))
+            rows.append(_compare("partial-sums", m, QPoly(odd_masses_via_partial_sums(n)),
+                                 closed))
     return rows
 
 
@@ -153,8 +147,7 @@ def _check_ratio_form(order: int, dp_table: list[QPoly]) -> ReportRow:
     ratio = pgf_series_ratio(order)
     for n in range(min(order, len(dp_table))):
         if ratio.coeff(n) != dp_table[n]:
-            return ReportRow("ratio-form", n, _exact(_pad(ratio.coeff(n).coeffs, n + 1)),
-                             f"mismatch@{n}")
+            return ReportRow("ratio-form", n, _payload(ratio.coeff(n), n + 1), f"mismatch@{n}")
     return ReportRow("ratio-form", order - 1, "", "ok")
 
 
@@ -177,8 +170,8 @@ def _check_cond(max_n: int, cap: int) -> list[ReportRow]:
         if 2 * n > cap:
             rows.append(_skipped("cond", n))
             continue
-        got = oracle_conditional(n, cap=cap)
-        want = [Fraction(r, n) for r in range(n + 1)]
+        got = QPoly(oracle_conditional(n, cap=cap))
+        want = QPoly(Fraction(r, n) for r in range(n + 1))
         rows.append(_compare("cond", n, got, want))
     return rows
 
@@ -189,16 +182,16 @@ def _check_legendre(max_n: int) -> list[ReportRow]:
         rows.append(_compare("legendre-two-route", n, even_pgf_via_legendre(n), even_pgf(n)))
     count = min(max_n, 20) + 1
     rows.append(_compare("lagrange-ones", count - 1,
-                         lagrange_series(1, 0, count), [Fraction(1)] * count))
+                         QPoly(lagrange_series(1, 0, count)), QPoly((1,) * count)))
     for a, b in LEGENDRE_PAIRS:
-        want = [legendre(m)(a) for m in range(count)]
+        want = QPoly(legendre(m)(a) for m in range(count))
         rows.append(_compare(f"lagrange[a={a},b={b}]", count - 1,
-                             lagrange_series(a, b, count), want))
+                             QPoly(lagrange_series(a, b, count)), want))
     # independent series-engine expansion of 1/sqrt(1 - 2z - 3z^2) (a = b = 1)
     direct = BivariateSeries.from_terms({0: 1, 1: -2, 2: -3}, count).sqrt().reciprocal()
     rows.append(_compare("lagrange-vs-series", count - 1,
-                         lagrange_series(1, 1, count),
-                         [c(1) for c in direct.coeffs]))
+                         QPoly(lagrange_series(1, 1, count)),
+                         QPoly(c(1) for c in direct.coeffs)))
     return rows
 
 
@@ -208,7 +201,6 @@ def run_verify(max_n: int = 12, order: int = 32, sections: str = "all",
     if sections not in SECTIONS:
         raise DomainError(f"unknown section {sections!r}; choose from {SECTIONS}")
     rows: list[ReportRow] = []
-    cap = min(cap, _MAX_N)  # walks too long for a path id are skipped:cap too
     if sections in ("all", "even", "odd"):
         dp_table = dp_pgf_table(max_n)
         even = pgf_series_even(order + 1)

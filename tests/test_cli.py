@@ -93,6 +93,29 @@ class TestLagrange:
         assert out.strip() == "1,5/4,59/32"
 
 
+class TestLongIntegers:
+    @pytest.fixture
+    def default_digit_limit(self):
+        # CPython's default limit on int <-> str conversion, whatever the environment says
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        yield
+        assert sys.get_int_max_str_digits() == 4300  # main restores it
+        sys.set_int_max_str_digits(old)
+
+    def test_exact_value_past_the_digit_limit(self, capsys, default_digit_limit):
+        code, out, err = run(capsys, "lagrange", "--a", "1e5000", "--b", "0", "--order", "2")
+        assert code == 0 and err == ""
+        first, second = out.strip().split(",")
+        assert first == "1" and second == "1" + "0" * 5000
+
+    def test_argument_past_the_digit_limit_is_a_usage_error(self, capsys, default_digit_limit):
+        with pytest.raises(SystemExit) as exc:
+            main(["dist", "--n", "1" * 4400])
+        assert exc.value.code == 2
+        assert "--n" in capsys.readouterr().err
+
+
 class TestConditional:
     def test_all_equal(self, capsys):
         code, out, _ = run(capsys, "conditional", "--n", "3")
@@ -124,12 +147,12 @@ class TestSeries:
 
 
 class TestOracle:
-    def test_walk_too_long_for_path_ids(self, capsys, monkeypatch):
+    def test_walk_past_32_steps_limited_by_cap(self, capsys, monkeypatch):
         def no_paths(n, rule):
             raise AssertionError("enumeration started")
 
         monkeypatch.setattr("coinwalk.oracle._enumerate", no_paths)
-        code, _, err = run(capsys, "oracle", "--n", "33", "--cap", "40")
+        code, _, err = run(capsys, "oracle", "--n", "33", "--cap", "32")
         assert code == 2
         assert "n=33" in err
 

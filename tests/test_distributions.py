@@ -25,7 +25,8 @@ class TestDistributionType:
         with pytest.raises(ValueError):
             Distribution.from_mass([F(3, 2), F(-1, 2)])  # negative mass
         with pytest.raises(ValueError):
-            Distribution(length=3, mass=(F(1),))  # inconsistent length
+            Distribution(0, QPoly((F(1, 2), F(1, 2))))  # mass beyond the length
+        assert Distribution(2, QPoly((1,))).mass == (F(1), F(0), F(0))  # keeps three slots
 
     def test_repr_eq_hash(self):
         d = Distribution.from_counts([1, 0, 1], 2)

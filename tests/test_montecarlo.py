@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from coinwalk import montecarlo
 from coinwalk.distributions import Distribution, even_distribution, odd_distribution
 from coinwalk.errors import DomainError
 from coinwalk.montecarlo import (
@@ -20,6 +21,12 @@ from coinwalk.oracle import PositivityRule, count_positive
 F = Fraction
 CF = PositivityRule.CHUNG_FELLER
 NN = PositivityRule.NON_NEGATIVE
+
+
+def simulate_in_blocks(monkeypatch, cfg, block):
+    """simulate(cfg) counting at most `block` walks at a time."""
+    monkeypatch.setattr(montecarlo, "_BLOCK", block)
+    return simulate(cfg)
 
 
 class TestGenerator:
@@ -43,13 +50,15 @@ class TestDeterminism:
         cfg = SimConfig(m=25, samples=2000, seed=123)
         assert simulate(cfg) == simulate(cfg)
 
-    def test_block_layout_invisible(self):
+    def test_block_layout_invisible(self, monkeypatch):
         cfg = SimConfig(m=19, samples=501, seed=9)
-        assert simulate(cfg, block=7) == simulate(cfg, block=64) == simulate(cfg, block=501)
+        assert simulate_in_blocks(monkeypatch, cfg, 7) == simulate_in_blocks(
+            monkeypatch, cfg, 64) == simulate_in_blocks(monkeypatch, cfg, 501)
 
-    def test_oversized_block_is_clamped_not_trusted(self):
+    def test_oversized_block_is_clamped_not_trusted(self, monkeypatch):
         cfg = SimConfig(m=19, samples=101, seed=9)
-        assert simulate(cfg, block=1 << 30) == simulate(cfg, block=11)
+        assert simulate_in_blocks(monkeypatch, cfg, 1 << 30) == simulate_in_blocks(
+            monkeypatch, cfg, 11)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -74,10 +83,10 @@ class TestSpotCheck:
 
     @pytest.mark.parametrize("m", [63, 64, 65, 130])
     @pytest.mark.parametrize("rule", [CF, NN])
-    def test_multi_word_walks(self, m, rule):
+    def test_multi_word_walks(self, monkeypatch, m, rule):
         # walks spanning several splitmix words pin the byte and word order
         cfg = SimConfig(m=m, samples=150, seed=17, rule=rule)
-        hist = simulate(cfg, block=37)
+        hist = simulate_in_blocks(monkeypatch, cfg, 37)
         recount = Counter(count_positive(walk_steps(cfg, j), rule) for j in range(cfg.samples))
         assert tuple(recount.get(j, 0) for j in range(len(hist))) == hist
 

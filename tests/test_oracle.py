@@ -115,14 +115,14 @@ class TestEnumerate:
         with pytest.raises(CapExceeded):
             enumerate_walks(4, CF, cap=3)
 
-    def test_path_ids_limit_length_whatever_the_cap(self, monkeypatch):
-        # n = 33 would wrap uint32 path ids; refuse before any path is built
+    def test_cap_is_the_only_limit_on_length(self, monkeypatch):
+        # past 32 steps the cap still refuses before any path is built
         def no_paths(n, rule):
             raise AssertionError("enumeration started")
 
         monkeypatch.setattr("coinwalk.oracle._enumerate", no_paths)
-        with pytest.raises(DomainError):
-            enumerate_walks(33, CF, cap=40)
+        with pytest.raises(CapExceeded):
+            enumerate_walks(33, CF, cap=32)
 
     def test_joint_bounded_by_hist(self):
         stats = enumerate_walks(8, CF)

@@ -71,6 +71,13 @@ class TestQPoly:
         assert QPoly().is_zero()
         assert QPoly((0, 0, 3)).degree == 2
 
+    @pytest.mark.parametrize("scalar", [0, 1, F(1, 2)])
+    def test_hash_agrees_with_scalar_equality(self, scalar):
+        p = QPoly((scalar,))
+        assert p == scalar and hash(p) == hash(scalar)
+        assert len({p, scalar}) == 1 and scalar in {p} and p in {scalar}
+        assert {p: "poly"}[scalar] == "poly" and {scalar: "scalar"}[p] == "scalar"
+
     def test_coeff_beyond_degree(self):
         p = QPoly((1, 2))
         assert p.coeff(5) == 0
