@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coinwalk.distributions import even_distribution, law, odd_distribution
-from coinwalk.errors import CapExceeded, DomainError
+from coinwalk.errors import CapExceeded
 from coinwalk.oracle import (
     PositivityRule,
     _count_walks,
