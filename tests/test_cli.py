@@ -223,6 +223,16 @@ class TestPinnedOutput:
         "verify --max-n 30 --order 12 --cap 10": "0381c39f8ce39f58",
         "verify --max-n 12 --order 14 --format csv": "f4c354cb00061ccb",
         "verify --max-n 9 --order 10 --sections csaki --strict-csaki": "c94d5be6e2819fc6",
+        # value tables: large laws, a CDF, pgf, negative values, zero-polynomial rows
+        "dist --n 4000": "e6c275b777da31cc",
+        "dist --n 4001 --cumulative": "a6795f4b2e2fd814",
+        "dist --n 41 --cumulative --format json": "e690e95d032ab689",
+        "pgf --n 10 --format csv": "183745b949f98ee7",
+        "series --which ratio --order 12": "87c12546b3a0006e",
+        "series --which odd --order 3": "133c7554a9fb389e",
+        "oracle --n 9 --rule nonneg --format json": "b5ef758075122a0a",
+        "simulate --m 24 --samples 1000 --seed 7": "e271be0c03fcc3ae",
+        "lagrange --a 1 --b 1/2 --order 6 --format csv": "12b9e8997af230d9",
     }
 
     @pytest.mark.parametrize("argv", sorted(PINS))
