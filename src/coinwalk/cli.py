@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Value tables use the fixed columns n, index, exact, decimal; the exact column
-is a lossless num/den string and the decimal column (15 significant digits)
-exists only for plotting.  Exit codes: 0 success, 1 verification mismatch,
-2 usage error.
+Value tables use the fixed columns n, index, exact, decimal.  The exact column
+is the reduced fraction num/den, formatted straight from the integer storage
+of the law or polynomial; the decimal column (15 significant digits) exists
+only for plotting, and prints inf or -inf for a value beyond float range.
+Exit codes: 0 success, 1 verification mismatch, 2 usage error.
 """
 
 from __future__ import annotations
@@ -11,12 +12,13 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from fractions import Fraction
 from typing import Iterable
 
-from .distributions import cdf, conditional_positive, law, pgf
+from .distributions import _counts, conditional_positive, law, pgf
 from .errors import CoinwalkError
 from .lattice import dp_pgf
 from .legendre import lagrange_series
@@ -45,8 +47,39 @@ _SERIES_BUILDERS = {
 _RULES = {"cf": PositivityRule.CHUNG_FELLER, "nonneg": PositivityRule.NON_NEGATIVE}
 
 
-def _dec(x) -> str:
-    return f"{float(x):.15g}"
+def _dec(num: int, den: int) -> str:
+    """f"{float(Fraction(num, den)):.15g}", with inf/-inf past float range.
+
+    Int true division is correctly rounded, so it is the same float.
+    """
+    try:
+        return f"{num / den:.15g}"
+    except OverflowError:
+        return "inf" if num > 0 else "-inf"
+
+
+def _exact(num: int, den: int, dens: dict[int, str]) -> str:
+    """str(Fraction(num, den)) for den > 0, without a gcd of two full-width ints.
+
+    The common power of two is shifted out first; the gcd is then taken with
+    den's odd part, which is 1 or n+1 for every law here.  `dens` memoizes
+    the reduced denominators' strings.
+    """
+    if not num:
+        return "0"
+    twos = min((num & -num).bit_length(), (den & -den).bit_length()) - 1
+    num >>= twos
+    den >>= twos
+    g = math.gcd(num, den >> ((den & -den).bit_length() - 1))
+    if g != 1:
+        num //= g
+        den //= g
+    if den == 1:
+        return str(num)
+    text = dens.get(den)
+    if text is None:
+        text = dens[den] = str(den)
+    return f"{num}/{text}"
 
 
 def _emit(rows: Iterable[dict], fieldnames: list[str], fmt: str):
@@ -59,13 +92,21 @@ def _emit(rows: Iterable[dict], fieldnames: list[str], fmt: str):
 
 
 def _emit_values(tables, fmt: str):
-    """Emit (n, values) pairs as the fixed n, index, exact, decimal value table."""
+    """Emit (n, nums, den) triples, value j = nums[j] / den, as the value table."""
+    dens = {}
     rows = (
-        {"n": n, "index": j, "exact": str(v), "decimal": _dec(v)}
-        for n, values in tables
-        for j, v in enumerate(values or (0,))  # () is the zero polynomial: row n,0,0,0
+        (n, j, _exact(c, den, dens), _dec(c, den))
+        for n, nums, den in tables
+        for j, c in enumerate(nums or (0,))  # () is the zero polynomial: row n,0,0,0
     )
-    _emit(rows, ["n", "index", "exact", "decimal"], fmt)
+    if fmt == "json":
+        keys = ["n", "index", "exact", "decimal"]
+        _emit((dict(zip(keys, row)) for row in rows), keys, fmt)
+        return
+    write = sys.stdout.write
+    write("n,index,exact,decimal\r\n")
+    for row in rows:  # no field holds a comma, quote, CR or LF: csv.DictWriter's bytes
+        write("%s,%s,%s,%s\r\n" % row)
 
 
 def _nonneg(text: str) -> int:
@@ -97,8 +138,7 @@ def _fraction(text: str) -> Fraction:
 
 
 def cmd_dist(args) -> int:
-    dist = law(args.n)
-    _emit_values([(args.n, cdf(dist) if args.cumulative else dist.mass)], args.format)
+    _emit_values([(args.n, *_counts(law(args.n), args.cumulative))], args.format)
     return 0
 
 
@@ -114,19 +154,20 @@ def cmd_pgf(args) -> int:
     if args.format == "text":
         print(poly)
         return 0
-    _emit_values([(args.n, poly.coeffs)], args.format)
+    _emit_values([(args.n, *poly.numerators)], args.format)
     return 0
 
 
 def cmd_series(args) -> int:
     series = _SERIES_BUILDERS[args.which](args.order)
-    _emit_values(enumerate(poly.coeffs for poly in series.coeffs), args.format)
+    _emit_values(((n, *poly.numerators) for n, poly in enumerate(series.coeffs)),
+                 args.format)
     return 0
 
 
 def cmd_oracle(args) -> int:
     dist = oracle_distribution(args.n, _RULES[args.rule], cap=args.cap)
-    _emit_values([(args.n, dist.mass)], args.format)
+    _emit_values([(args.n, *_counts(dist))], args.format)
     return 0
 
 
@@ -151,7 +192,8 @@ def cmd_lagrange(args) -> int:
         print(",".join(str(c) for c in coeffs))
         return 0
     rows = [
-        {"index": m, "exact": str(c), "decimal": _dec(c)} for m, c in enumerate(coeffs)
+        {"index": m, "exact": str(c), "decimal": _dec(c.numerator, c.denominator)}
+        for m, c in enumerate(coeffs)
     ]
     _emit(rows, ["index", "exact", "decimal"], args.format)
     return 0
@@ -161,7 +203,7 @@ def cmd_simulate(args) -> int:
     cfg = SimConfig(m=args.m, samples=args.samples, seed=args.seed, rule=_RULES[args.rule])
     hist = simulate(cfg)
     rows = [
-        {"index": j, "count": c, "freq": _dec(Fraction(c, args.samples))}
+        {"index": j, "count": c, "freq": _dec(c, args.samples)}
         for j, c in enumerate(hist)
     ]
     _emit(rows, ["index", "count", "freq"], args.format)

@@ -15,8 +15,10 @@ or c_r c_{n+1-r} r over 4^(n+1) (n+1).  The builders form exactly those
 counts, with the c_k from the ratio recurrence c_k = c_{k-1} 2(2k-1)/k.
 
 A :class:`Distribution` is stored as its PGF, one ``QPoly`` (integer
-numerators over one denominator), so ``pgf`` is free and ``cdf`` is integer
-prefix sums; Fractions appear only where ``mass`` and ``[j]`` hand them out.
+numerators over one denominator), so ``pgf`` is free.  ``mass`` and ``cdf``
+read one integer view of it, ``_counts``: numerators padded to 0..m, and
+prefix-summed for the CDF.  Fractions appear only where ``mass``, ``cdf`` and
+``[j]`` hand them out.
 Distributions keep the full index range 0..m with explicit zeros at
 impossible parities, so cross-route comparisons are positional.
 """
@@ -67,8 +69,8 @@ class Distribution:
 
     @property
     def mass(self) -> tuple[Fraction, ...]:
-        coeffs = self._pgf.coeffs
-        return coeffs + (Fraction(0),) * (self.length + 1 - len(coeffs))
+        nums, den = _counts(self)
+        return tuple(Fraction(c, den) for c in nums)
 
     def __getitem__(self, j: int) -> Fraction:
         if not -self.length - 1 <= j <= self.length:
@@ -118,9 +120,18 @@ def pgf(dist: Distribution) -> QPoly:
 
 def cdf(dist: Distribution) -> tuple[Fraction, ...]:
     """Partial sums of the mass; the last entry is exactly 1."""
-    nums, den = pgf(dist).numerators
-    sums = tuple(Fraction(s, den) for s in accumulate(nums))
-    return sums + (Fraction(1),) * (dist.length + 1 - len(sums))
+    nums, den = _counts(dist, cumulative=True)
+    return tuple(Fraction(s, den) for s in nums)
+
+
+def _counts(dist: Distribution, cumulative: bool = False) -> tuple[list[int], int]:
+    """(nums, den) over 0..length: P(N = j), or P(N <= j) if cumulative, is nums[j] / den.
+
+    The law's integer view, for callers that format or sum without Fractions.
+    """
+    nums, den = dist._pgf.numerators
+    padded = [*nums, *(0,) * (dist.length + 1 - len(nums))]
+    return (list(accumulate(padded)) if cumulative else padded), den
 
 
 def conditional_positive(n: int, r: int) -> Fraction:

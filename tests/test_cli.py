@@ -9,9 +9,10 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 import coinwalk
-from coinwalk.cli import main
+from coinwalk.cli import _dec, _exact, main
 from coinwalk.verify import QUARANTINED, SECTIONS, ReportRow, VerifyReport
 
 F = Fraction
@@ -91,6 +92,72 @@ class TestLagrange:
     def test_fraction_arguments(self, capsys):
         _, out, _ = run(capsys, "lagrange", "--a", "5/4", "--b", "3/8", "--order", "3")
         assert out.strip() == "1,5/4,59/32"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("a,inf", [("1e400", "inf"), ("-1e400", "-inf")])
+    def test_decimal_past_float_range(self, capsys, fmt, a, inf):
+        code, out, err = run(capsys, "lagrange", f"--a={a}", "--b", "0", "--order", "2",
+                             "--format", fmt)
+        assert code == 0 and err == ""
+        rows = parse_csv(out) if fmt == "csv" else json.loads(out)
+        assert [(r["exact"], r["decimal"]) for r in rows] == [("1", "1"), (str(F(a)), inf)]
+
+    def test_decimal_past_float_range_no_traceback(self):
+        proc = subprocess.run([sys.executable, "-m", "coinwalk.cli", "lagrange", "--a=-1e400",
+                               "--b", "0", "--order", "2", "--format", "csv"],
+                              capture_output=True, text=True, env=_coinwalk_env(), timeout=60)
+        assert proc.returncode == 0
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout.endswith(",-inf\n")
+
+
+# any int, many past 3000 bits, some with a long run of trailing zero bits
+_NUMS = st.builds(lambda a, k: a << k,
+                  st.one_of(st.integers(), st.integers(-(2**3100), 2**3100)),
+                  st.integers(0, 64))
+# 2^a * b: a large odd part b takes the generic gcd branch
+_DENS = st.builds(lambda a, b: 2**a * b, st.integers(0, 3100),
+                  st.one_of(st.integers(min_value=1), st.integers(1, 2**3100)))
+
+
+class TestValueColumns:
+    @given(_NUMS, _DENS)
+    def test_exact_is_the_reduced_fraction(self, num, den):
+        assert _exact(num, den, {}) == str(F(num, den))
+
+    @given(st.lists(_NUMS, max_size=8), _DENS)
+    def test_exact_with_a_shared_memo(self, nums, den):
+        dens = {}
+        assert [_exact(c, den, dens) for c in nums] == [str(F(c, den)) for c in nums]
+
+    @given(_NUMS, _DENS)
+    def test_decimal_is_the_float(self, num, den):
+        try:
+            want = f"{float(F(num, den)):.15g}"
+        except OverflowError:
+            want = "inf" if num > 0 else "-inf"
+        assert _dec(num, den) == want
+
+    @pytest.mark.parametrize("argv", [
+        ["dist"], ["dist", "--cumulative"], ["oracle"], ["pgf", "--format", "csv"],
+        ["dist", "--format", "json"],
+    ], ids=" ".join)
+    def test_no_fraction_per_row(self, capsys, monkeypatch, argv):
+        built = []
+        new = F.__new__
+
+        def counting(cls, *args, **kwargs):
+            built.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(F, "__new__", counting)
+        counts = []
+        for n in ("6", "13"):
+            built.clear()
+            assert main([*argv, "--n", n]) == 0
+            counts.append(len(built))
+        capsys.readouterr()
+        assert counts[0] == counts[1]  # as many Fractions for 14 rows as for 7
 
 
 class TestLongIntegers:

@@ -5,6 +5,7 @@ import pytest
 
 from coinwalk.distributions import (
     Distribution,
+    _counts,
     cdf,
     conditional_positive,
     even_distribution,
@@ -188,3 +189,25 @@ class TestIntegerLaws:
     def test_validation_on_counts(self, counts, den):
         with pytest.raises(ValueError):
             Distribution.from_counts(counts, den)
+
+
+class TestCounts:
+    @pytest.mark.parametrize("dist", [
+        Distribution(2, QPoly((1,))), Distribution.from_counts([0, 2, 0], 2),
+        law(0), law(1), law(7), law(40), law(41),
+    ], ids=lambda d: f"length{d.length}")
+    def test_mass_and_cdf_are_the_counts(self, dist):
+        nums, den = _counts(dist)
+        sums, sums_den = _counts(dist, cumulative=True)
+        assert sums_den == den and len(nums) == len(sums) == dist.length + 1
+        assert all(type(c) is int for c in nums + sums)
+        assert sums == list(accumulate(nums)) and sums[-1] == den
+        assert dist.mass == tuple(F(c, den) for c in nums)
+        assert cdf(dist) == tuple(accumulate(dist.mass))
+        assert all(type(p) is F for p in dist.mass + cdf(dist))
+
+    def test_padded_slots(self):
+        d = Distribution(2, QPoly((1,)))
+        assert _counts(d) == ([1, 0, 0], 1)
+        assert _counts(d, cumulative=True) == ([1, 1, 1], 1)
+        assert d.mass == (F(1), F(0), F(0)) and cdf(d) == (F(1),) * 3
