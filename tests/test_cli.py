@@ -142,20 +142,23 @@ class TestValueColumns:
         ["dist"], ["dist", "--cumulative"], ["oracle"], ["pgf", "--format", "csv"],
         ["dist", "--format", "json"],
     ], ids=" ".join)
-    def test_no_fraction_per_row(self, capsys, monkeypatch, argv):
+    def test_no_fraction_per_row(self, capsys, argv):
         built = []
-        new = F.__new__
+        original = vars(F)["__new__"]
 
         def counting(cls, *args, **kwargs):
             built.append(args)
-            return new(cls, *args, **kwargs)
+            return original.__func__(cls, *args, **kwargs)
 
-        monkeypatch.setattr(F, "__new__", counting)
         counts = []
-        for n in ("6", "13"):
-            built.clear()
-            assert main([*argv, "--n", n]) == 0
-            counts.append(len(built))
+        F.__new__ = staticmethod(counting)
+        try:
+            for n in ("6", "13"):
+                built.clear()
+                assert main([*argv, "--n", n]) == 0
+                counts.append(len(built))
+        finally:
+            F.__new__ = original
         capsys.readouterr()
         assert counts[0] == counts[1]  # as many Fractions for 14 rows as for 7
 
