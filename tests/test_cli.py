@@ -303,6 +303,13 @@ class TestPinnedOutput:
         "oracle --n 9 --rule nonneg --format json": "b5ef758075122a0a",
         "simulate --m 24 --samples 1000 --seed 7": "e271be0c03fcc3ae",
         "lagrange --a 1 --b 1/2 --order 6 --format csv": "12b9e8997af230d9",
+        # every series builder, far enough out that each engine op is exercised
+        "series --which csaki --order 60": "0938195ab8e7ffea",
+        "series --which even --order 60": "d526ae9e92a03d01",
+        "series --which full --order 60": "e3ccb44c260c7be5",
+        "series --which odd --order 60": "054bc2adb4901122",
+        "series --which odd-ratio --order 60": "054bc2adb4901122",
+        "series --which ratio --order 60": "3de04d71e93ea9bb",
     }
 
     @pytest.mark.parametrize("argv", sorted(PINS))
