@@ -56,7 +56,6 @@ from .oracle import (
 from .qpoly import QPoly, binomial, format_poly, return_prob
 from .series import (
     BivariateSeries,
-    extract_pgf,
     nonneg_series,
     pgf_series,
     pgf_series_even,
@@ -96,7 +95,6 @@ __all__ = [
     "even_distribution",
     "even_pgf",
     "even_pgf_via_legendre",
-    "extract_pgf",
     "format_poly",
     "lagrange_series",
     "law",

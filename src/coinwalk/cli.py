@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 from fractions import Fraction
@@ -24,8 +23,8 @@ from .lattice import dp_pgf
 from .legendre import lagrange_series
 from .montecarlo import SimConfig, arcsine_sup_distance, simulate, tv_distance
 from .oracle import DEFAULT_CAP, PositivityRule, oracle_conditional, oracle_distribution
+from .qpoly import _exact
 from .series import (
-    extract_pgf,
     nonneg_series,
     pgf_series,
     pgf_series_even,
@@ -58,33 +57,13 @@ def _dec(num: int, den: int) -> str:
         return "inf" if num > 0 else "-inf"
 
 
-def _exact(num: int, den: int, dens: dict[int, str]) -> str:
-    """str(Fraction(num, den)) for den > 0, without a gcd of two full-width ints.
-
-    The common power of two is shifted out first; the gcd is then taken with
-    den's odd part, which is 1 or n+1 for every law here.  `dens` memoizes
-    the reduced denominators' strings.
-    """
-    if not num:
-        return "0"
-    twos = min((num & -num).bit_length(), (den & -den).bit_length()) - 1
-    num >>= twos
-    den >>= twos
-    g = math.gcd(num, den >> ((den & -den).bit_length() - 1))
-    if g != 1:
-        num //= g
-        den //= g
-    if den == 1:
-        return str(num)
-    text = dens.get(den)
-    if text is None:
-        text = dens[den] = str(den)
-    return f"{num}/{text}"
-
-
 def _emit(rows: Iterable[dict], fieldnames: list[str], fmt: str):
-    if fmt == "json":
-        print(json.dumps(list(rows), indent=None))
+    if fmt == "json":  # json.dumps(list(rows)), one row at a time
+        write = sys.stdout.write
+        write("[")
+        for i, row in enumerate(rows):
+            write(", " + json.dumps(row) if i else json.dumps(row))
+        write("]\n")
     else:
         writer = csv.DictWriter(sys.stdout, fieldnames=fieldnames)
         writer.writeheader()
@@ -148,7 +127,7 @@ def cmd_pgf(args) -> int:
     elif args.method == "dp":
         poly = dp_pgf(args.n)
     elif args.method == "series":
-        poly = extract_pgf(pgf_series(args.n + 1), args.n)
+        poly = pgf_series(args.n + 1).coeff(args.n)
     else:
         poly = pgf(oracle_distribution(args.n, PositivityRule.CHUNG_FELLER, cap=args.cap))
     if args.format == "text":

@@ -31,11 +31,11 @@ def legendre(n: int) -> QPoly:
     """P_n(x) = 2^-n sum_k (-1)^k C(n,k) C(2n-2k,n) x^(n-2k), k = 0..n/2."""
     if n < 0:
         raise DomainError(f"degree must be non-negative, got {n}")
-    coeffs = [0] * (n + 1)
+    nums = [0] * (n + 1)
     for k in range(n // 2 + 1):
         c = binomial(n, k) * binomial(2 * n - 2 * k, n)
-        coeffs[n - 2 * k] = Fraction(-c if k % 2 else c, 2**n)
-    return QPoly(coeffs)
+        nums[n - 2 * k] = -c if k % 2 else c
+    return QPoly._make(nums, 2**n)
 
 
 @cache
@@ -52,17 +52,20 @@ def even_pgf(n: int) -> QPoly:
 def even_pgf_via_legendre(n: int) -> QPoly:
     """The same polynomial as q^n P_n((q + 1/q)/2), by Laurent evaluation.
 
-    Written homogeneously: with P_n(x) = sum_j c_j x^j,
-    q^n P_n((q^2+1)/(2q)) = sum_j c_j (q^2+1)^j (2q)^{n-j} / 2^n, which is a
-    genuine polynomial (every q-power is non-negative); only the scalar 2^n
-    needs clearing, so no rational-function type is ever involved.  The sum
-    runs by homogeneous Horner, j = n down to 0: acc (q^2+1) + c_j (2q)^{n-j}.
+    Written homogeneously: with P_n(x) = sum_j a_j x^j / d on P_n's integer
+    numerators a_j over its denominator d,
+    q^n P_n((q^2+1)/(2q)) = sum_j a_j (q^2+1)^j (2q)^{n-j} / (2^n d), which is
+    a genuine polynomial (every q-power is non-negative), so no
+    rational-function type is ever involved.  The sum runs by homogeneous
+    Horner, j = n down to 0, on a plain int list: acc (q^2+1) is a shifted
+    add, then a_j 2^{n-j} joins the q^{n-j} slot; 1/(2^n d) is applied once.
     """
-    c = legendre(n).coeffs
-    acc = QPoly.zero()
-    for j in range(n, -1, -1):
-        acc = acc + acc.shift(2) + QPoly.monomial(n - j, c[j] * 2 ** (n - j))
-    return acc.scale(Fraction(1, 2**n))
+    nums, den = legendre(n).numerators  # n + 1 of them: P_n has degree n
+    acc = [nums[n]]
+    for j in range(n - 1, -1, -1):
+        acc = [x + y for x, y in zip(acc + [0, 0], [0, 0] + acc)]
+        acc[n - j] += nums[j] << (n - j)
+    return QPoly._make(acc, den << n)
 
 
 def odd_pgf_via_ratio(n: int) -> QPoly:

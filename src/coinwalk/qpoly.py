@@ -114,7 +114,8 @@ class QPoly:
         """The canonical storage (nums, den): coefficient i is nums[i] / den.
 
         For callers that work on the integers themselves, such as the laws'
-        validation and prefix sums; read-only, like every QPoly.
+        validation and prefix sums; read-only, like every QPoly.  `_exact`
+        renders one coefficient from it.
         """
         return self._nums, self._den
 
@@ -176,18 +177,31 @@ class QPoly:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self._nums, other._nums
-        if not a or not b:
-            return QPoly()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b, i):
-                    if cb:
-                        out[j] += ca * cb
-        return QPoly._make(out, self._den * other._den)
+        return QPoly.dot((self,), (other,))
 
     __rmul__ = __mul__
+
+    @staticmethod
+    def dot(xs: Iterable["QPoly"], ys: Iterable["QPoly"]) -> "QPoly":
+        """The sum of x y over zip(xs, ys), canonicalised once; `*` is one pair.
+
+        The schoolbook products' integer numerators are summed over the lcm
+        of their denominators, so no partial sum pays an lcm or a gcd.
+        """
+        pairs = [(x, y) for x, y in zip(xs, ys) if x._nums and y._nums]
+        if not pairs:
+            return QPoly()
+        den = math.lcm(*(x._den * y._den for x, y in pairs))
+        out = [0] * (max(len(x._nums) + len(y._nums) for x, y in pairs) - 1)
+        for x, y in pairs:
+            f, b = den // (x._den * y._den), y._nums
+            for i, cx in enumerate(x._nums):
+                if cx:
+                    cx *= f
+                    for j, cy in enumerate(b, i):
+                        if cy:
+                            out[j] += cx * cy
+        return QPoly._make(out, den)
 
     def scale(self, s: Scalar) -> "QPoly":
         s = Fraction(s)
@@ -216,13 +230,6 @@ class QPoly:
 
     def derivative(self) -> "QPoly":
         return QPoly._make([i * c for i, c in enumerate(self._nums) if i], self._den)
-
-    def even_part(self) -> "QPoly":
-        """Terms of even q-degree, exponents kept."""
-        return QPoly._make([c if i % 2 == 0 else 0 for i, c in enumerate(self._nums)], self._den)
-
-    def odd_part(self) -> "QPoly":
-        return QPoly._make([c if i % 2 == 1 else 0 for i, c in enumerate(self._nums)], self._den)
 
     # -- division -------------------------------------------------------
 
@@ -303,6 +310,30 @@ def _coerce(value) -> QPoly | None:
     if isinstance(value, (int, Fraction)):
         return QPoly((value,))
     return None
+
+
+def _exact(num: int, den: int, dens: dict[int, str]) -> str:
+    """str(Fraction(num, den)) for den > 0, without a gcd of two full-width ints.
+
+    The common power of two is shifted out first; the gcd is then taken with
+    den's odd part, which is 1 or n+1 for every law here.  `dens` memoizes
+    the reduced denominators' strings.
+    """
+    if not num:
+        return "0"
+    twos = min((num & -num).bit_length(), (den & -den).bit_length()) - 1
+    num >>= twos
+    den >>= twos
+    g = math.gcd(num, den >> ((den & -den).bit_length() - 1))
+    if g != 1:
+        num //= g
+        den //= g
+    if den == 1:
+        return str(num)
+    text = dens.get(den)
+    if text is None:
+        text = dens[den] = str(den)
+    return f"{num}/{text}"
 
 
 def format_poly(poly: QPoly, var: str = "q") -> str:

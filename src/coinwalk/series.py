@@ -16,9 +16,10 @@ with InexactDivision.  Aborting is the point: the expansions built here
 (`pgf_series_*`, `nonneg_series`) encode identities whose failure must
 surface loudly, not be smoothed over.
 
-Multiplication, division and square root share one product helper, `_dot`.
-Only sqrt(1-z^2) is expanded; sqrt(1-q^2 z^2) is that series at qz, so no
-builder takes the square root of a series with q-dependent coefficients.
+Multiplication, division and square root share one product kernel,
+`QPoly.dot`, which canonicalises each output coefficient once.  Only
+sqrt(1-z^2) is expanded; sqrt(1-q^2 z^2) is that series at qz, so no builder
+takes the square root of a series with q-dependent coefficients.
 
 The expansions provided:
 
@@ -49,21 +50,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Union
 
 from .errors import DomainError, InexactDivision, SqrtDomainError, ValuationError
-from .qpoly import QPoly, Scalar
+from .qpoly import QPoly
 
 _PolyLike = Union[QPoly, int, Fraction]
 
 
 def _as_poly(c: _PolyLike) -> QPoly:
     return c if isinstance(c, QPoly) else QPoly((c,))
-
-
-def _dot(xs: Sequence[QPoly], ys: Sequence[QPoly]) -> QPoly:
-    """Sum of x*y over paired coefficients: one z-coefficient of a Cauchy product."""
-    return sum((x * y for x, y in zip(xs, ys) if x and y), QPoly.zero())
 
 
 @dataclass(frozen=True)
@@ -152,7 +148,7 @@ class BivariateSeries:
     def __mul__(self, other: "BivariateSeries") -> "BivariateSeries":
         z = min(self.order, other.order)
         a, b = self.coeffs, other.coeffs
-        return BivariateSeries(z, tuple(_dot(a[: n + 1], b[n::-1]) for n in range(z)))
+        return BivariateSeries(z, tuple(QPoly.dot(a[: n + 1], b[n::-1]) for n in range(z)))
 
     def __truediv__(self, den: "BivariateSeries") -> "BivariateSeries":
         """Series quotient with quotient * den = num up to truncation.
@@ -177,7 +173,7 @@ class BivariateSeries:
         lead = den.coeffs[0]
         out: list[QPoly] = []
         for n in range(z):
-            acc = num.coeffs[n] - _dot(out, den.coeffs[n:0:-1])
+            acc = num.coeffs[n] - QPoly.dot(out, den.coeffs[n:0:-1])
             out.append(acc.divide_exact(lead))
         return BivariateSeries(z, tuple(out))
 
@@ -190,7 +186,7 @@ class BivariateSeries:
             raise SqrtDomainError("series sqrt requires constant term exactly 1")
         out = [QPoly.one()]
         for n in range(1, self.order):
-            acc = self.coeffs[n] - _dot(out[1:], out[n - 1 : 0 : -1])
+            acc = self.coeffs[n] - QPoly.dot(out[1:], out[n - 1 : 0 : -1])
             out.append(acc.scale(Fraction(1, 2)))
         return BivariateSeries(self.order, tuple(out))
 
@@ -199,11 +195,6 @@ class BivariateSeries:
     def __str__(self) -> str:
         rows = [f"z^{n}: {c}" for n, c in enumerate(self.coeffs)]
         return "\n".join(rows)
-
-
-def extract_pgf(series: BivariateSeries, n: int) -> QPoly:
-    """The z^n coefficient (the n-step PGF for the walk series)."""
-    return series.coeff(n)
 
 
 # -- named expansions -------------------------------------------------------
@@ -219,9 +210,13 @@ def _at_qz(s: BivariateSeries) -> BivariateSeries:
 
 
 def pgf_series_even(order: int) -> BivariateSeries:
-    """1/(sqrt(1-z^2) sqrt(1-q^2 z^2)); z^{2n} coefficient = even-length PGF."""
-    rz = _sqrt_one_minus_z2(order)
-    return (rz * _at_qz(rz)).reciprocal()
+    """1/(sqrt(1-z^2) sqrt(1-q^2 z^2)); z^{2n} coefficient = even-length PGF.
+
+    Built as r(z) r(qz) with r = 1/sqrt(1-z^2), so the only reciprocal taken
+    is of a q-free series.
+    """
+    r = _sqrt_one_minus_z2(order).reciprocal()
+    return r * _at_qz(r)
 
 
 def _odd_from_even(even: BivariateSeries) -> BivariateSeries:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .distributions import law, pgf
 from .errors import DomainError
@@ -37,7 +38,7 @@ from .legendre import (
     odd_pgf_via_three_term,
 )
 from .oracle import DEFAULT_CAP, PositivityRule, oracle_conditional, oracle_distribution
-from .qpoly import QPoly
+from .qpoly import QPoly, _exact
 from .series import (
     BivariateSeries,
     _odd_from_even,
@@ -88,9 +89,16 @@ class VerifyReport:
         )
 
 
+@lru_cache(maxsize=16)
 def _payload(poly: QPoly, size: int) -> str:
-    """Exact coefficients of `poly`, zero-padded to at least `size` slots."""
-    return ",".join(str(poly.coeff(j)) for j in range(max(size, poly.degree + 1)))
+    """Exact coefficients of `poly`, zero-padded to at least `size` slots.
+
+    Memoized: every route that agrees on a length prints the same payload,
+    and a length's rows are made one after another.
+    """
+    nums, den = poly.numerators
+    dens: dict[int, str] = {}
+    return ",".join([_exact(c, den, dens) for c in nums] + ["0"] * (size - len(nums)))
 
 
 def _compare(route: str, n: int, got: QPoly, want: QPoly) -> ReportRow:
@@ -143,12 +151,24 @@ def _check_parity(max_n: int, order: int, cap: int, parity: int, dp_table: list[
 
 
 def _check_ratio_form(order: int, dp_table: list[QPoly]) -> ReportRow:
-    """Audit of the printed single-ratio form against the recursion route."""
-    ratio = pgf_series_ratio(order)
-    for n in range(min(order, len(dp_table))):
-        if ratio.coeff(n) != dp_table[n]:
-            return ReportRow("ratio-form", n, _payload(ratio.coeff(n), n + 1), f"mismatch@{n}")
-    return ReportRow("ratio-form", order - 1, "", "ok")
+    """Audit of the printed single-ratio form against the recursion route.
+
+    Expanded lazily: at order 1, then at twice the order while every
+    coefficient agrees, up to the last one compared.  The form's denominator
+    has the constant z^0 term -16, so a coefficient does not depend on the
+    order it is expanded at, and the row is the one a full expansion gives.
+    """
+    stop = min(order, len(dp_table))
+    done, k = 0, 1
+    while True:
+        ratio = pgf_series_ratio(k)
+        for n in range(done, k):
+            if ratio.coeff(n) != dp_table[n]:
+                return ReportRow("ratio-form", n, _payload(ratio.coeff(n), n + 1),
+                                 f"mismatch@{n}")
+        if k == stop:
+            return ReportRow("ratio-form", order - 1, "", "ok")
+        done, k = k, min(2 * k, stop)
 
 
 def _check_csaki(max_n: int, order: int, cap: int) -> list[ReportRow]:

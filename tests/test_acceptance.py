@@ -28,7 +28,6 @@ from coinwalk.montecarlo import SimConfig, arcsine_sup_distance, simulate, tv_di
 from coinwalk.oracle import PositivityRule, oracle_conditional, oracle_distribution
 from coinwalk.qpoly import QPoly
 from coinwalk.series import (
-    extract_pgf,
     nonneg_series,
     pgf_series,
     pgf_series_even,
@@ -76,7 +75,7 @@ def test_criterion_3_four_route_agreement(dp_table, full_series):
     start = time.monotonic()
     for m in range(33):
         closed = pgf(even_distribution(m // 2)) if m % 2 == 0 else pgf(odd_distribution((m - 1) // 2))
-        assert extract_pgf(full_series, m) == dp_table[m] == closed, f"m={m}"
+        assert full_series.coeff(m) == dp_table[m] == closed, f"m={m}"
     for m in range(21):
         assert dp_table[m] == pgf(oracle_distribution(m, CF)), f"m={m}"
     elapsed = time.monotonic() - start

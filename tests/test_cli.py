@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import coinwalk
-from coinwalk.cli import _dec, _exact, main
+from coinwalk.cli import _dec, main
+from coinwalk.qpoly import _exact
 from coinwalk.verify import QUARANTINED, SECTIONS, ReportRow, VerifyReport
 
 F = Fraction

@@ -11,7 +11,6 @@ from coinwalk.oracle import PositivityRule, oracle_distribution
 from coinwalk.qpoly import QPoly
 from coinwalk.series import (
     BivariateSeries,
-    extract_pgf,
     nonneg_series,
     pgf_series,
     pgf_series_even,
@@ -245,7 +244,7 @@ class TestFullExpansion:
         full = pgf_series(10)
         table = dp_pgf_table(9)
         for n in range(10):
-            assert extract_pgf(full, n) == table[n]
+            assert full.coeff(n) == table[n]
 
     @pytest.mark.parametrize("order", [1, 2, 3])
     def test_low_orders_match_recursion_route(self, order):
@@ -255,11 +254,11 @@ class TestFullExpansion:
 
     def test_extract_out_of_range(self):
         with pytest.raises(DomainError):
-            extract_pgf(pgf_series(4), 4)
+            pgf_series(4).coeff(4)
 
     @pytest.mark.parametrize("n", range(16))
     def test_extracted_pgfs_normalize(self, n):
-        assert extract_pgf(pgf_series(16), n)(1) == 1
+        assert pgf_series(16).coeff(n)(1) == 1
 
 
 class TestPrintedRatioFinding:

@@ -8,8 +8,15 @@ from coinwalk.distributions import law
 from coinwalk.lattice import dp_pgf_table
 from coinwalk.oracle import WalkStats
 from coinwalk.qpoly import QPoly
-from coinwalk.series import BivariateSeries, nonneg_series
-from coinwalk.verify import ReportRow, VerifyReport, _check_ratio_form, _compare, run_verify
+from coinwalk.series import BivariateSeries, nonneg_series, pgf_series, pgf_series_ratio
+from coinwalk.verify import (
+    ReportRow,
+    VerifyReport,
+    _check_ratio_form,
+    _compare,
+    _payload,
+    run_verify,
+)
 
 F = Fraction
 
@@ -80,15 +87,58 @@ class TestRatioFormRow:
     ])
     def test_payload_of_first_departure(self, monkeypatch, bad, payload):
         table = dp_pgf_table(3)
+        coeffs = (*table[:2], bad, table[3])
         monkeypatch.setattr("coinwalk.verify.pgf_series_ratio",
-                            lambda order: BivariateSeries(order, (*table[:2], bad, table[3])))
+                            lambda order: BivariateSeries(order, coeffs[:order]))
         assert _check_ratio_form(4, table) == ReportRow("ratio-form", 2, payload, "mismatch@2")
 
     def test_agreement_row(self, monkeypatch):
         table = dp_pgf_table(2)
+        coeffs = (*table, QPoly((1,)))
         monkeypatch.setattr("coinwalk.verify.pgf_series_ratio",
-                            lambda order: BivariateSeries(order, (*table, QPoly((1,)))))
+                            lambda order: BivariateSeries(order, coeffs[:order]))
         assert _check_ratio_form(4, table) == ReportRow("ratio-form", 3, "", "ok")
+
+
+class TestLazyRatioForm:
+    """The lazy audit against the full expansion it replaced, copied here."""
+
+    @staticmethod
+    def eager(build, order, dp_table):
+        ratio = build(order)
+        for n in range(min(order, len(dp_table))):
+            if ratio.coeff(n) != dp_table[n]:
+                return ReportRow("ratio-form", n, _payload(ratio.coeff(n), n + 1),
+                                 f"mismatch@{n}")
+        return ReportRow("ratio-form", order - 1, "", "ok")
+
+    @pytest.mark.parametrize("k", [0, 3, 40])
+    def test_printed_form(self, k):
+        table = dp_pgf_table(k)
+        for order in range(1, 41):
+            assert _check_ratio_form(order, table) == self.eager(pgf_series_ratio, order, table)
+
+    @pytest.mark.parametrize("bad_at", [None, 0, 1, 2, 5, 9, 16, 33])
+    def test_doubling_over_an_agreeing_prefix(self, monkeypatch, bad_at):
+        # a stand-in form: the full series, off by 1/3 at one coefficient
+        def stand_in(order):
+            cs = list(pgf_series(order).coeffs)
+            if bad_at is not None and bad_at < order:
+                cs[bad_at] += QPoly((F(1, 3),))
+            return BivariateSeries(order, tuple(cs))
+
+        orders = []
+        monkeypatch.setattr("coinwalk.verify.pgf_series_ratio",
+                            lambda k: orders.append(k) or stand_in(k))
+        table = dp_pgf_table(30)
+        for order in range(1, 41):
+            orders.clear()
+            row = _check_ratio_form(order, table)
+            assert row == self.eager(stand_in, order, table)
+            if row.ok:  # expanded only as far as the last compared coefficient
+                assert max(orders) == min(order, len(table))
+            else:  # and no further than twice the first departure
+                assert max(orders) <= max(1, 2 * row.n)
 
 
 class TestRunVerify:
@@ -141,6 +191,13 @@ class TestRunVerify:
                if r.status.startswith("mismatch") and r.route not in ("csaki", "ratio-form")]
         assert bad == []
         assert {r.n for r in rows_by_route(report, "series")} == set(range(129))
+
+    def test_agreement_at_n_256(self):
+        report = run_verify(max_n=256, order=257, cap=16)
+        bad = [r for r in report.rows
+               if r.status.startswith("mismatch") and r.route not in ("csaki", "ratio-form")]
+        assert bad == []
+        assert {r.n for r in rows_by_route(report, "series")} == set(range(257))
 
     def test_each_even_law_and_legendre_evaluation_built_once(self, monkeypatch):
         distributions = sys.modules["coinwalk.distributions"]
