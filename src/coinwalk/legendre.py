@@ -16,6 +16,7 @@ the harness's Lagrange rows compare a three-term recurrence with a formula.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate
@@ -103,22 +104,31 @@ def odd_pgf_via_parity_split(n: int) -> QPoly:
     return even + odd
 
 
-def odd_masses_via_partial_sums(n: int) -> tuple[Fraction, ...]:
-    """Coefficients of the (2n+1)-toss PGF from partial sums of w[2j, 2m].
+def odd_pgf_via_partial_sums(n: int) -> QPoly:
+    """The (2n+1)-toss PGF from partial sums of w[2j, 2m].
 
     With w[2j, 2m] = P(N_2m = 2j) = return_prob(j) return_prob(m-j), read off
     the even laws:
         coeff(2i)   = sum_{j<=i} w[2j, 2n+2] - sum_{j<=i-1} w[2j, 2n]
         coeff(2i+1) = sum_{j<=i} w[2j, 2n]   - sum_{j<=i}   w[2j, 2n+2]
     No polynomial division at all; a third, purely additive route.  The sums
-    are prefix sums of the even PGFs' coefficients (the even laws' masses),
-    whose slot 2i-1 holds sum_{j<=i-1}.
+    are prefix sums of the even PGFs' integer numerators over their common
+    denominator, whose slot 2i-1 holds sum_{j<=i-1}.
     """
-    lo, hi = (tuple(accumulate(even_pgf(k).coeffs)) for k in (n, n + 1))
-    out: list[Fraction] = []
+    (lo, lo_den), (hi, hi_den) = even_pgf(n).numerators, even_pgf(n + 1).numerators
+    den = math.lcm(lo_den, hi_den)
+    lo = list(accumulate(c * (den // lo_den) for c in lo))
+    hi = list(accumulate(c * (den // hi_den) for c in hi))
+    out: list[int] = []
     for i in range(n + 1):
         out += [hi[2 * i] - (lo[2 * i - 1] if i else 0), lo[2 * i] - hi[2 * i]]
-    return tuple(out)
+    return QPoly._make(out, den)
+
+
+def odd_masses_via_partial_sums(n: int) -> tuple[Fraction, ...]:
+    """The 2n + 2 coefficients of `odd_pgf_via_partial_sums` (the last is
+    return_prob(n+1) > 0, so none is trimmed)."""
+    return odd_pgf_via_partial_sums(n).coeffs
 
 
 def lagrange_series(a: Scalar, b: Scalar, order: int) -> tuple[Fraction, ...]:

@@ -19,10 +19,12 @@ bit = +1.  Because every word is addressed absolutely, the histogram is
 bit-identical no matter how the sample range is partitioned into blocks,
 so any internal or concurrent blocking is invisible.
 
-`simulate` counts with the enumeration module's step-major kernel.  Each
-block's words are transposed once to one int8 row per octet, so step k of
-every walk is bit (k-1) & 7 of row (k-1) >> 3, shifted and masked into one
-reused buffer.  A walk costs 8 W octet bytes plus its counters, not m bytes.
+`simulate` counts with the enumeration module's step-major kernel, `_BLOCK`
+(2^16) walks at a time.  Word column t of a block (word t of every walk) is
+made just before steps 64t+1..64t+64 and transposed to one uint8 row per
+octet, so step k of every walk is bit (k-1) & 7 of octet row
+((k-1) >> 3) & 7, shifted and masked into one reused buffer.  A block holds
+one word column and its counters, so its memory does not grow with m.
 The independent references are `walk_steps`, which rebuilds any sample's steps in
 plain Python, and `count_positive`, the per-path rule the tests re-count walks
 with.  Floating point appears only in the reporting helpers (`tv_distance`,
@@ -39,14 +41,12 @@ import numpy as np
 
 from .distributions import Distribution
 from .errors import DomainError
-from .oracle import PositivityRule, _count_walks
+from .oracle import _BLOCK, PositivityRule, _count_walks
 
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _MASK64 = (1 << 64) - 1
-
-_BLOCK = 8192
 
 
 def splitmix64(seed: int, index: int) -> int:
@@ -99,30 +99,38 @@ def walk_steps(cfg: SimConfig, index: int) -> list[int]:
     return [1 if (words[k // 64] >> (k % 64)) & 1 else -1 for k in range(cfg.m)]
 
 
+def _block_steps(seed: int, m: int, start: int, stop: int):
+    """Yield the 0/1 bits of steps 1..m of walks start..stop-1, one uint8 vector per step.
+
+    Made one word column at a time (see the module docstring); the yielded
+    buffer is reused, so each vector is valid until the next one.
+    """
+    w = _words_per_walk(m)
+    # word t of walk j is mix(seed + (t + 1) * golden + j * (w * golden))
+    lanes = np.arange(start, stop, dtype=np.uint64) * np.uint64(w * _GOLDEN & _MASK64)
+    bit = np.empty(stop - start, dtype=np.uint8)
+    for t in range(w):
+        words = _mix_block(lanes + np.uint64((seed + (t + 1) * _GOLDEN) & _MASK64))
+        octets = words.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8).T.copy()
+        for k in range(64 * t, min(64 * t + 64, m)):
+            np.right_shift(octets[(k >> 3) & 7], k & 7, out=bit)
+            yield np.bitwise_and(bit, 1, out=bit)
+
+
 def simulate(cfg: SimConfig) -> tuple[int, ...]:
     """Empirical histogram of the positive-step count over `cfg.samples` walks.
 
-    Deterministic in `cfg` alone: walks are counted `_BLOCK` at a time (fewer
-    for long walks, to bound memory), and absolute word addressing keeps the
-    result independent of the block size.
+    Deterministic in `cfg` alone: walks are counted `_BLOCK` at a time, and
+    absolute word addressing keeps the result independent of the block size.
     """
     m = cfg.m
     size = m + 2 if cfg.rule is PositivityRule.NON_NEGATIVE else m + 1
     hist = np.zeros(size, dtype=np.int64)
-    w = _words_per_walk(m)
-    # keep 16 MB above block * (8*w octets + 16 counter bytes); results are block-invariant
-    block = max(1, min(_BLOCK, (1 << 24) // (8 * w + 16)))
-    seed = np.uint64(cfg.seed & _MASK64)
-    word_offsets = np.arange(w, dtype=np.uint64)
-    for start in range(0, cfg.samples, block):
-        stop = min(start + block, cfg.samples)
-        idx = np.arange(start, stop, dtype=np.uint64)[:, None] * np.uint64(w) + word_offsets
-        words = _mix_block(seed + (idx + np.uint64(1)) * np.uint64(_GOLDEN))
-        octets = words.astype("<u8", copy=False).view(np.int8).T[: (m + 7) // 8].copy()
-        bit = np.empty(stop - start, dtype=np.int8)  # the int8 shift copies the sign; & 1 drops it
-        steps = (np.bitwise_and(np.right_shift(octets[k >> 3], k & 7, out=bit), 1, out=bit)
-                 for k in range(m))
-        counts, _ = _count_walks(steps, m, stop - start, cfg.rule)
+    seed = cfg.seed & _MASK64
+    for start in range(0, cfg.samples, _BLOCK):
+        stop = min(start + _BLOCK, cfg.samples)
+        (counts,), _ = _count_walks(_block_steps(seed, m, start, stop), m, stop - start,
+                                    (cfg.rule,))
         hist += np.bincount(counts, minlength=size)
     return tuple(int(c) for c in hist)
 

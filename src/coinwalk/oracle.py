@@ -3,20 +3,23 @@
 Deliberately dumb: every one of the 2^n paths is evaluated on its own, with
 no combinatorial shortcuts, so this module stays a trustworthy oracle for the
 closed forms.  Paths are ids 0..2^n-1, bit k giving the sign of step k+1
-(set bit = +1), and the cap is the only limit on n.  The step-major kernel
-`_count_walks` keeps one running sum and one count per walk of a block, on
-the narrowest type that cannot overflow, and updates each at every step; it
-also counts the Monte Carlo walks.  Enumeration feeds it steps below
-log2(block) from a bit table of the block's ids and each higher step as one
-int for the whole block, so memory stays near 2 MB whatever n.
-`count_positive` is the plain per-path reference both routes are tested with.
+(set bit = +1), and the cap is the only limit on n.  One step-major kernel,
+`_count_walks`, counts a tuple of rules in a single pass: per walk of a block
+it keeps twice the up-steps so far and one count per rule, on the narrowest
+type that cannot overflow, and updates them at every step; it also counts
+the Monte Carlo walks.  Enumeration feeds it steps below log2(block) from a
+bit table of the block's ids and each higher step as one int for the whole
+block, so memory stays near 2 MB whatever n, and one pass per block yields
+the WalkStats of both rules.  `count_positive` is the plain per-path
+reference both routes are tested with.
 
 Two counting rules:
 
 * CHUNG_FELLER - count k in 1..n with S_k > 0, or S_k = 0 and S_{k-1} > 0.
-  For +-1 steps this is S_k >= b_k, b_k the 0/1 bit of step k; `_count_walks`
+  For +-1 steps this is S_k >= b_k, b_k the 0/1 bit of step k, i.e.
+  2u_{k-1} + b_k >= k with u_k the up-steps among the first k; `_count_walks`
   applies that per path and step, `count_positive` the rule as written.
-* NON_NEGATIVE - count k in 0..n with S_k >= 0.  The k = 0 term always
+* NON_NEGATIVE - count k in 0..n with S_k >= 0, i.e. 2u_k >= k.  The k = 0 term always
   counts (S_0 = 0), so the count ranges over 1..n+1 and histogram slot 0
   stays empty.  This is a genuinely different statistic with a different
   law at finite n.
@@ -37,7 +40,7 @@ from .errors import CapExceeded, DomainError
 
 DEFAULT_CAP = 24
 
-_BLOCK = 1 << 16  # paths per block: each int8 vector is 64 KB, cache-resident
+_BLOCK = 1 << 16  # walks per block: each 8-bit vector is 64 KB, cache-resident
 
 
 class PositivityRule(enum.Enum):
@@ -90,43 +93,73 @@ def enumerate_walks(n: int, rule: PositivityRule, cap: int = DEFAULT_CAP) -> Wal
 
 
 def _count_walks(steps: Iterable[np.ndarray | int], n: int, size: int,
-                 rule: PositivityRule) -> tuple[np.ndarray, np.ndarray]:
-    """Counts and final sums of `size` walks of n steps, advanced step by step.
+                 rules: Sequence[PositivityRule]) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """Counts under each of `rules`, and final sums, of `size` walks of n steps.
 
-    `steps` yields the 0/1 bits b_k of steps 1..n (set bit = +1), each an
-    int8 vector over the walks or one int shared by all of them.  Sums and
-    counts use the narrowest type that holds n + 1.
+    `steps` yields the 0/1 bits b_k of steps 1..n (set bit = +1), each a
+    uint8 vector over the walks or one int shared by all of them.  One pass
+    serves every rule: it keeps t = 2u, twice the up-steps so far, so
+    S_k = t - k, and step k counts under CHUNG_FELLER iff 2u_{k-1} + b_k >= k
+    and under NON_NEGATIVE iff 2u_k >= k.  A per-walk step is t += b, the
+    first compare, t += b, the second; a shared step compares with k - b and
+    adds 2b once.  t is unsigned, and counts and sums are signed, on the
+    narrowest width whose signed type holds n + 1 (so 2n fits unsigned).
     """
-    dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64) if n < np.iinfo(t).max)
-    chung_feller = rule is PositivityRule.CHUNG_FELLER
-    sums = np.zeros(size, dtype)
-    counts = np.full(size, 0 if chung_feller else 1, dtype)  # NON_NEGATIVE counts S_0 = 0
+    signed, unsigned = next(pair for pair in ((np.int8, np.uint8), (np.int16, np.uint16),
+                                              (np.int32, np.uint32), (np.int64, np.uint64))
+                            if n < np.iinfo(pair[0]).max)
+    twice_up = np.zeros(size, unsigned)
+    counts = {rule: np.full(size, rule is PositivityRule.NON_NEGATIVE, signed)  # S_0 = 0
+              for rule in rules}
+    chung_feller = counts.get(PositivityRule.CHUNG_FELLER)
+    non_negative = counts.get(PositivityRule.NON_NEGATIVE)
     flag = np.empty(size, dtype=bool)
-    for bit in steps:
-        sums += bit
-        sums += bit
-        sums -= 1
-        np.greater_equal(sums, bit if chung_feller else 0, out=flag)
-        counts += flag.view(np.int8)
-    return counts, sums
+    flag_int = flag.view(np.int8)  # adds to the counts as int8, the fastest numpy loop
+    for k, bit in enumerate(steps, 1):
+        if type(bit) is int:  # shared by every walk: 2u_{k-1} + b >= k is t >= k - b
+            if chung_feller is not None:
+                np.greater_equal(twice_up, k - bit, out=flag)
+                chung_feller += flag_int
+            if bit:
+                twice_up += 2
+        else:
+            twice_up += bit
+            if chung_feller is not None:
+                np.greater_equal(twice_up, k, out=flag)
+                chung_feller += flag_int
+            twice_up += bit
+        if non_negative is not None:
+            np.greater_equal(twice_up, k, out=flag)
+            non_negative += flag_int
+    twice_up -= n  # S_n = t - n, read back as signed
+    return tuple(counts[rule] for rule in rules), twice_up.view(signed)
+
+
+def _enumerate(n: int, rule: PositivityRule) -> WalkStats:
+    return _enumerate_rules(n)[rule]
 
 
 @lru_cache(maxsize=None)
-def _enumerate(n: int, rule: PositivityRule) -> WalkStats:
-    hist = np.zeros(n + 2, dtype=np.int64)
-    joint = np.zeros(n + 2, dtype=np.int64)
+def _enumerate_rules(n: int) -> dict[PositivityRule, WalkStats]:
+    """WalkStats of every rule from one pass of the kernel per block."""
+    rules = tuple(PositivityRule)
+    hist = np.zeros((len(rules), n + 2), dtype=np.int64)
+    joint = np.zeros((len(rules), n + 2), dtype=np.int64)
     block = min(_BLOCK, 1 << n)
     low = block.bit_length() - 1  # steps 1..low vary inside a block
     ids = np.arange(block, dtype="<u4").view(np.uint8).reshape(block, 4)
-    table = np.unpackbits(ids, axis=1, count=low, bitorder="little").T.copy().view(np.int8)
+    table = np.unpackbits(ids, axis=1, count=low, bitorder="little").T.copy()
     for start in range(0, 1 << n, block):
         bits = [*table, *((start >> k) & 1 for k in range(low, n))]
-        counts, sums = _count_walks(bits, n, block, rule)
-        hist += np.bincount(counts, minlength=n + 2)
-        if n >= 2:  # S_{n-1} is the final sum minus the last step
-            joint += np.bincount(counts[sums - (2 * bits[-1] - 1) > 0], minlength=n + 2)
-    return WalkStats(n=n, rule=rule, count_hist=tuple(int(c) for c in hist),
-                     joint_pos=tuple(int(c) for c in joint))
+        counts, sums = _count_walks(bits, n, block, rules)
+        positive = sums >= 2 * bits[-1] if n >= 2 else None  # S_{n-1} = S_n - 2b_n + 1 > 0
+        for i, c in enumerate(counts):
+            hist[i] += np.bincount(c, minlength=n + 2)
+            if positive is not None:
+                joint[i] += np.bincount(c[positive], minlength=n + 2)
+    return {rule: WalkStats(n=n, rule=rule, count_hist=tuple(int(c) for c in hist[i]),
+                            joint_pos=tuple(int(c) for c in joint[i]))
+            for i, rule in enumerate(rules)}
 
 
 def oracle_distribution(n: int, rule: PositivityRule, cap: int = DEFAULT_CAP) -> Distribution:

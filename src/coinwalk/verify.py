@@ -31,9 +31,9 @@ from .legendre import (
     even_pgf_via_legendre,
     lagrange_series,
     legendre,
-    odd_masses_via_partial_sums,
     odd_pgf_via_derivative,
     odd_pgf_via_parity_split,
+    odd_pgf_via_partial_sums,
     odd_pgf_via_ratio,
     odd_pgf_via_three_term,
 )
@@ -145,8 +145,7 @@ def _check_parity(max_n: int, order: int, cap: int, parity: int, dp_table: list[
             rows.append(_compare("identity-derivative", m, odd_pgf_via_derivative(n), closed))
             rows.append(_compare("identity-three-term", m, odd_pgf_via_three_term(n), closed))
             rows.append(_compare("identity-parity-split", m, odd_pgf_via_parity_split(n), closed))
-            rows.append(_compare("partial-sums", m, QPoly(odd_masses_via_partial_sums(n)),
-                                 closed))
+            rows.append(_compare("partial-sums", m, odd_pgf_via_partial_sums(n), closed))
     return rows
 
 

@@ -6,10 +6,11 @@ import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import coinwalk
 from coinwalk.cli import _dec, main
@@ -428,3 +429,38 @@ class TestNoTraceback:
                            and row["route"] not in QUARANTINED for row in json.loads(out))
             else:
                 assert any(row["equal"] == "False" for row in parse_csv(out))
+
+
+_SMALL = st.integers(0, 70).map(str)
+
+
+@st.composite
+def _counting_argv(draw):
+    """A small simulate, oracle or conditional command line, in any format."""
+    command = draw(st.sampled_from(["simulate", "oracle", "conditional"]))
+    rule = ["--rule", draw(st.sampled_from(["cf", "nonneg"]))]
+    if command == "simulate":
+        argv = ["--m", draw(_SMALL), "--samples", draw(_SMALL),
+                "--seed", str(draw(st.integers(0, 2**64 - 1))), *rule]
+    else:
+        argv = ["--n", draw(_SMALL), *(rule if command == "oracle" else [])]
+    return [command, *argv, "--cap", str(draw(st.integers(0, 12))),
+            "--format", draw(st.sampled_from(["csv", "json"]))]
+
+
+class TestFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(_counting_argv())
+    def test_counting_commands(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse usage error
+                code = exc.code
+        assert code in (0, 2)
+        assert "Traceback" not in err.getvalue()
+        if argv[0] == "simulate" and code == 0:
+            text = out.getvalue()
+            rows = json.loads(text) if argv[-1] == "json" else parse_csv(text)
+            assert sum(int(row["count"]) for row in rows) == int(argv[argv.index("--samples") + 1])

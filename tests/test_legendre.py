@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
@@ -11,6 +12,7 @@ from coinwalk.legendre import (
     odd_masses_via_partial_sums,
     odd_pgf_via_derivative,
     odd_pgf_via_parity_split,
+    odd_pgf_via_partial_sums,
     odd_pgf_via_ratio,
     odd_pgf_via_three_term,
 )
@@ -102,6 +104,17 @@ class TestPartialSums:
     @pytest.mark.parametrize("n", range(31))
     def test_sums_to_one(self, n):
         assert sum(odd_masses_via_partial_sums(n)) == 1
+
+    @pytest.mark.parametrize("n", range(41))
+    def test_integer_sums_match_fraction_sums(self, n):
+        # the Fraction prefix sums the integer numerators replaced
+        lo, hi = (tuple(accumulate(even_pgf(k).coeffs)) for k in (n, n + 1))
+        want = []
+        for i in range(n + 1):
+            want += [hi[2 * i] - (lo[2 * i - 1] if i else 0), lo[2 * i] - hi[2 * i]]
+        assert odd_masses_via_partial_sums(n) == tuple(want)
+        assert all(type(c) is F for c in odd_masses_via_partial_sums(n))
+        assert odd_pgf_via_partial_sums(n) == QPoly(want)
 
     @pytest.mark.parametrize("n", range(31))
     def test_matches_law_and_ratio_route(self, n):

@@ -50,10 +50,13 @@ class TestDeterminism:
         cfg = SimConfig(m=25, samples=2000, seed=123)
         assert simulate(cfg) == simulate(cfg)
 
-    def test_block_layout_invisible(self, monkeypatch):
-        cfg = SimConfig(m=19, samples=501, seed=9)
-        assert simulate_in_blocks(monkeypatch, cfg, 7) == simulate_in_blocks(
-            monkeypatch, cfg, 64) == simulate_in_blocks(monkeypatch, cfg, 501)
+    @pytest.mark.parametrize("m", [19, 63, 64, 65, 129])
+    def test_block_layout_invisible(self, monkeypatch, m):
+        # 63..129 end on a partial, a full and a one-step last word column
+        cfg = SimConfig(m=m, samples=501, seed=9)
+        hists = {block: simulate_in_blocks(monkeypatch, cfg, block)
+                 for block in (1, 7, 64, 501, 1 << 16)}
+        assert len(set(hists.values())) == 1
 
     def test_oversized_block_is_clamped_not_trusted(self, monkeypatch):
         cfg = SimConfig(m=19, samples=101, seed=9)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coinwalk.distributions import even_distribution, law, odd_distribution
+from coinwalk import oracle
 from coinwalk.errors import CapExceeded
 from coinwalk.oracle import (
     PositivityRule,
@@ -51,32 +52,59 @@ def bit_rows(n):
 
 
 def step_bits(rows, n, share):
-    """Step k's bits as an int8 column, or as one int where `share` and every row agree."""
+    """Step k's bits as a uint8 column, or as one int where `share` and every row agree."""
     for k in range(n):
         column = {row[k] for row in rows}
-        yield column.pop() if share and len(column) == 1 else np.array([row[k] for row in rows], np.int8)
+        yield column.pop() if share and len(column) == 1 else np.array([row[k] for row in rows], np.uint8)
 
 
 class TestCountingKernel:
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 200).flatmap(bit_rows), st.sampled_from([CF, NN]), st.booleans())
-    def test_matches_per_path_reference(self, walks, rule, share):
+    @given(st.integers(0, 200).flatmap(bit_rows), st.booleans())
+    def test_matches_per_path_reference(self, walks, share):
+        # one pass counts both rules
         n, rows = walks
-        counts, sums = _count_walks(step_bits(rows, n, share), n, len(rows), rule)
+        (cf, nn), sums = _count_walks(step_bits(rows, n, share), n, len(rows), (CF, NN))
         steps = [[2 * b - 1 for b in row] for row in rows]
-        assert counts.tolist() == [count_positive(s, rule) for s in steps]
+        assert cf.tolist() == [count_positive(s, CF) for s in steps]
+        assert nn.tolist() == [count_positive(s, NN) for s in steps]
         assert sums.tolist() == [list(accumulate(s, initial=0))[-1] for s in steps]
-        assert sums.dtype == counts.dtype == (np.int8 if n < 127 else np.int16)
+        assert sums.dtype == cf.dtype == nn.dtype == (np.int8 if n < 127 else np.int16)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 40).flatmap(bit_rows), st.sampled_from([(CF,), (NN,), (NN, CF)]),
+           st.booleans())
+    def test_any_rules_tuple(self, walks, rules, share):
+        # counts come back in the order the rules were asked for
+        n, rows = walks
+        counts, _ = _count_walks(step_bits(rows, n, share), n, len(rows), rules)
+        steps = [[2 * b - 1 for b in row] for row in rows]
+        assert [c.tolist() for c in counts] == [[count_positive(s, rule) for s in steps]
+                                                for rule in rules]
 
     @pytest.mark.parametrize("rule,expected", [(CF, 40000), (NN, 40001)])
     def test_long_walk_uses_int32_sums(self, rule, expected):
         # 20,000 up, then 20,000 down: every step counts, the last one by the tie rule
         steps = [1] * 20000 + [-1] * 20000
         bits = [[1] * 20000 + [0] * 20000]
-        counts, sums = _count_walks(step_bits(bits, 40000, False), 40000, 1, rule)
+        (counts,), sums = _count_walks(step_bits(bits, 40000, False), 40000, 1, (rule,))
         assert sums.dtype == np.int32
         assert sums.tolist() == [0]
         assert counts.tolist() == [count_positive(steps, rule)] == [expected]
+
+    @pytest.mark.parametrize("n", [0, 1, 5, 16, 17, 18])
+    def test_one_pass_per_block_for_both_rules(self, monkeypatch, n):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return _count_walks(*args)
+
+        monkeypatch.setattr(oracle, "_count_walks", counting)
+        oracle._enumerate_rules.cache_clear()
+        cf, nn = enumerate_walks(n, CF), enumerate_walks(n, NN)
+        assert len(calls) == max(1, 2**n // oracle._BLOCK)
+        assert cf.rule is CF and nn.rule is NN
 
 
 class TestEnumerate:
