@@ -136,6 +136,7 @@ def _count_walks(steps: Iterable[np.ndarray | int], n: int, size: int,
 
 
 def _enumerate(n: int, rule: PositivityRule) -> WalkStats:
+    """One rule's WalkStats, from the cached pass that counts every rule."""
     return _enumerate_rules(n)[rule]
 
 
@@ -152,7 +153,8 @@ def _enumerate_rules(n: int) -> dict[PositivityRule, WalkStats]:
     for start in range(0, 1 << n, block):
         bits = [*table, *((start >> k) & 1 for k in range(low, n))]
         counts, sums = _count_walks(bits, n, block, rules)
-        positive = sums >= 2 * bits[-1] if n >= 2 else None  # S_{n-1} = S_n - 2b_n + 1 > 0
+        # S_{n-1} = S_n - 2b_n + 1 > 0 iff S_n >= 2b_n
+        positive = sums >= 2 * bits[-1] if n >= 2 else None
         for i, c in enumerate(counts):
             hist[i] += np.bincount(c, minlength=n + 2)
             if positive is not None:
