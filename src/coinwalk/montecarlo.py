@@ -84,6 +84,8 @@ class SimConfig:
             raise DomainError("walk length must be non-negative")
         if self.samples < 1:
             raise DomainError("need at least one sample")
+        if (self.m + 2) * 8 > np.iinfo(np.intp).max:  # simulate's int64 histogram has m + 2 slots
+            raise DomainError(f"walk length {self.m} is too long for a histogram in memory")
 
 
 def _words_per_walk(m: int) -> int:

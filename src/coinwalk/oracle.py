@@ -7,10 +7,11 @@ closed forms.  Paths are ids 0..2^n-1, bit k giving the sign of step k+1
 `_count_walks`, counts a tuple of rules in a single pass: per walk of a block
 it keeps twice the up-steps so far and one count per rule, on the narrowest
 type that cannot overflow, and updates them at every step; it also counts
-the Monte Carlo walks.  Enumeration feeds it steps below log2(block) from a
-bit table of the block's ids and each higher step as one int for the whole
-block, so memory stays near 2 MB whatever n, and one pass per block yields
-the WalkStats of both rules.  `count_positive` is the plain per-path
+the Monte Carlo walks.  Enumeration runs every path of each 2^16-path block
+through it from fresh state, steps up to 16 from a bit table of the ids built
+once per process, each higher step as one int for the block.  One bincount per
+block tallies the joint key (cf * (n+2) + nn) * 2 + [S_{n-1} > 0], summed down
+to each rule's WalkStats at the end.  `count_positive` is the plain per-path
 reference both routes are tested with.
 
 Two counting rules:
@@ -140,28 +141,39 @@ def _enumerate(n: int, rule: PositivityRule) -> WalkStats:
     return _enumerate_rules(n)[rule]
 
 
+@lru_cache(maxsize=1)
+def _bit_table() -> np.ndarray:
+    """Bits 0..15 of the ids 0.._BLOCK-1, one read-only uint8 row per step."""
+    ids = np.arange(_BLOCK, dtype="<u4").view(np.uint8).reshape(_BLOCK, 4)
+    table = np.unpackbits(ids, axis=1, count=16, bitorder="little").T.copy()
+    table.flags.writeable = False
+    return table
+
+
 @lru_cache(maxsize=None)
 def _enumerate_rules(n: int) -> dict[PositivityRule, WalkStats]:
-    """WalkStats of every rule from one pass of the kernel per block."""
-    rules = tuple(PositivityRule)
-    hist = np.zeros((len(rules), n + 2), dtype=np.int64)
-    joint = np.zeros((len(rules), n + 2), dtype=np.int64)
+    """WalkStats of both rules from one kernel pass and one bincount per block."""
+    rules = (PositivityRule.CHUNG_FELLER, PositivityRule.NON_NEGATIVE)
+    width = n + 2
+    tally = np.zeros((width, width, 2), dtype=np.int64)  # by key (cf * width + nn) * 2 + pos
     block = min(_BLOCK, 1 << n)
     low = block.bit_length() - 1  # steps 1..low vary inside a block
-    ids = np.arange(block, dtype="<u4").view(np.uint8).reshape(block, 4)
-    table = np.unpackbits(ids, axis=1, count=low, bitorder="little").T.copy()
+    table = _bit_table()[:low, :block]
+    key = np.empty(block, dtype=np.int16 if tally.size <= 1 << 15 else np.intp)
+    positive = np.zeros(block, dtype=bool)  # pos = [S_{n-1} > 0], never for n < 2
     for start in range(0, 1 << n, block):
         bits = [*table, *((start >> k) & 1 for k in range(low, n))]
-        counts, sums = _count_walks(bits, n, block, rules)
-        # S_{n-1} = S_n - 2b_n + 1 > 0 iff S_n >= 2b_n
-        positive = sums >= 2 * bits[-1] if n >= 2 else None
-        for i, c in enumerate(counts):
-            hist[i] += np.bincount(c, minlength=n + 2)
-            if positive is not None:
-                joint[i] += np.bincount(c[positive], minlength=n + 2)
-    return {rule: WalkStats(n=n, rule=rule, count_hist=tuple(int(c) for c in hist[i]),
-                            joint_pos=tuple(int(c) for c in joint[i]))
-            for i, rule in enumerate(rules)}
+        (cf, nn), sums = _count_walks(bits, n, block, rules)
+        np.multiply(cf, width, out=key, dtype=key.dtype)  # on the int8 counts it would wrap
+        key += nn
+        key <<= 1
+        if n >= 2:  # S_{n-1} = S_n - 2b_n + 1 > 0 iff S_n >= 2b_n
+            np.greater_equal(sums, 2 * bits[-1], out=positive)
+        key += positive
+        tally += np.bincount(key, minlength=tally.size).reshape(tally.shape)
+    return {rule: WalkStats(n=n, rule=rule, count_hist=tuple(int(c) for c in joint.sum(axis=1)),
+                            joint_pos=tuple(int(c) for c in joint[:, 1]))
+            for rule, joint in zip(rules, (tally.sum(axis=1), tally.sum(axis=0)))}
 
 
 def oracle_distribution(n: int, rule: PositivityRule, cap: int = DEFAULT_CAP) -> Distribution:

@@ -39,9 +39,11 @@ class TestPublicSurface:
     lambda: SimConfig(m=4, samples=0, seed=0),
     lambda: BivariateSeries(0, ()),
     lambda: run_verify(sections="nope"),
+    lambda: SimConfig(m=2**60, samples=1, seed=0),  # its histogram cannot be allocated
 ], ids=["shift-q", "shift-one", "shift-zero", "monomial", "monomial-coeff",
         "legendre", "lagrange_series", "enumerate_walks", "oracle_conditional",
-        "binomial", "simconfig-m", "simconfig-samples", "series-order", "verify-sections"])
+        "binomial", "simconfig-m", "simconfig-samples", "series-order", "verify-sections",
+        "simconfig-huge-m"])
 def test_negative_exponent_or_size_is_a_domain_error(call):
     with pytest.raises(DomainError):
         call()

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import coinwalk
-from coinwalk.cli import _dec, main
+from coinwalk.cli import _SERIES_BUILDERS, _dec, main
 from coinwalk.qpoly import _exact
 from coinwalk.verify import QUARANTINED, SECTIONS, ReportRow, VerifyReport
 
@@ -347,6 +347,14 @@ class TestUsageErrors:
         assert code == 0
         assert sum(int(r["count"]) for r in parse_csv(out)) == 10
 
+    @pytest.mark.parametrize("m", [2**60, 2**62, 2**63 - 1])
+    def test_walk_too_long_for_a_histogram(self, capsys, m):
+        # numpy's "array is too big" used to escape as a traceback
+        code, out, err = run(capsys, "simulate", "--m", str(m), "--samples", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_unknown_command(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
@@ -448,6 +456,42 @@ def _counting_argv(draw):
             "--format", draw(st.sampled_from(["csv", "json"]))]
 
 
+_TINY = st.integers(-1, 12).map(str)  # -1 is a usage error
+
+
+@st.composite
+def _exact_argv(draw):
+    """A small dist, pgf, series, lagrange or verify command line, in any format."""
+    command = draw(st.sampled_from(["dist", "pgf", "series", "lagrange", "verify"]))
+    formats = ["csv", "json"] if command in ("dist", "series") else ["text", "csv", "json"]
+    if command == "dist":
+        argv = ["--n", draw(st.integers(-1, 70).map(str))] + draw(st.sampled_from(
+            [[], ["--cumulative"]]))
+    elif command == "pgf":
+        argv = ["--n", draw(_TINY), "--method",
+                draw(st.sampled_from(["closed", "dp", "series", "oracle"])), "--cap", draw(_TINY)]
+    elif command == "series":
+        argv = ["--which", draw(st.sampled_from(sorted(_SERIES_BUILDERS))), "--order", draw(_TINY)]
+    elif command == "lagrange":
+        fraction = st.fractions(-3, 3, max_denominator=6).map(str)
+        # --a=-1/2: as a separate word, argparse would read -1/2 as an option
+        argv = ["--a=" + draw(fraction), "--b=" + draw(fraction), "--order", draw(_TINY)]
+    else:
+        argv = ["--sections", draw(st.sampled_from(SECTIONS)), "--max-n", draw(_TINY),
+                "--order", draw(_TINY), "--cap", draw(_TINY)] + draw(st.sampled_from(
+                    [[], ["--strict-csaki"]]))
+    return [command, *argv, "--format", draw(st.sampled_from(formats))]
+
+
+def _verify_rows(text, fmt):
+    """(route, status) of each row of a verify report in `fmt`."""
+    if fmt == "json":
+        return [(row["route"], row["status"]) for row in json.loads(text)]
+    if fmt == "csv":
+        return [(row["route"], row["status"]) for row in parse_csv(text)]
+    return [tuple(line.split()[1::-1]) for line in text.splitlines()[:-1]]
+
+
 class TestFuzz:
     @settings(max_examples=150, deadline=None)
     @given(_counting_argv())
@@ -464,3 +508,19 @@ class TestFuzz:
             text = out.getvalue()
             rows = json.loads(text) if argv[-1] == "json" else parse_csv(text)
             assert sum(int(row["count"]) for row in rows) == int(argv[argv.index("--samples") + 1])
+
+    @settings(max_examples=150, deadline=None)
+    @given(_exact_argv())
+    def test_exact_commands(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse usage error
+                code = exc.code
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if code == 1:  # a real mismatch, outside the quarantined routes
+            assert argv[0] == "verify"
+            assert any(status.startswith("mismatch") and route not in QUARANTINED
+                       for route, status in _verify_rows(out.getvalue(), argv[-1]))

@@ -121,11 +121,14 @@ class TestEnumerate:
     @pytest.mark.parametrize("n", range(11))
     @pytest.mark.parametrize("rule", [CF, NN])
     def test_matches_per_path_reference(self, n, rule):
-        # the vectorized histogram must agree with the dumb per-path loop
-        hist = [0] * (n + 2)
+        # the joint-key tally must agree with the dumb per-path loop, joint_pos included
+        hist, joint = [0] * (n + 2), [0] * (n + 2)
         for signs in product((1, -1), repeat=n):
-            hist[count_positive(signs, rule)] += 1
-        assert enumerate_walks(n, rule).count_hist == tuple(hist)
+            count = count_positive(signs, rule)
+            hist[count] += 1
+            joint[count] += sum(signs[:-1]) > 0  # S_{n-1}; S_0 = 0 for n = 1, none for n = 0
+        stats = enumerate_walks(n, rule)
+        assert (stats.count_hist, stats.joint_pos) == (tuple(hist), tuple(joint))
 
     @pytest.mark.parametrize("n", range(15))
     def test_symmetry(self, n):
