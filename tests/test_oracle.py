@@ -121,7 +121,7 @@ class TestEnumerate:
     @pytest.mark.parametrize("n", range(11))
     @pytest.mark.parametrize("rule", [CF, NN])
     def test_matches_per_path_reference(self, n, rule):
-        # the joint-key tally must agree with the dumb per-path loop, joint_pos included
+        # the vectorized tally must agree with the dumb per-path loop, joint_pos included
         hist, joint = [0] * (n + 2), [0] * (n + 2)
         for signs in product((1, -1), repeat=n):
             count = count_positive(signs, rule)
