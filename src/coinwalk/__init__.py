@@ -10,9 +10,7 @@ from .distributions import (
     Distribution,
     cdf,
     conditional_positive,
-    even_distribution,
     law,
-    odd_distribution,
     pgf,
 )
 from .errors import (
@@ -25,13 +23,12 @@ from .errors import (
 )
 from .lattice import dp_pgf, dp_pgf_table
 from .legendre import (
-    even_pgf,
     even_pgf_via_legendre,
     lagrange_series,
     legendre,
-    odd_masses_via_partial_sums,
     odd_pgf_via_derivative,
     odd_pgf_via_parity_split,
+    odd_pgf_via_partial_sums,
     odd_pgf_via_ratio,
     odd_pgf_via_three_term,
 )
@@ -92,18 +89,15 @@ __all__ = [
     "dp_pgf",
     "dp_pgf_table",
     "enumerate_walks",
-    "even_distribution",
-    "even_pgf",
     "even_pgf_via_legendre",
     "format_poly",
     "lagrange_series",
     "law",
     "legendre",
     "nonneg_series",
-    "odd_distribution",
-    "odd_masses_via_partial_sums",
     "odd_pgf_via_derivative",
     "odd_pgf_via_parity_split",
+    "odd_pgf_via_partial_sums",
     "odd_pgf_via_ratio",
     "odd_pgf_via_three_term",
     "oracle_conditional",

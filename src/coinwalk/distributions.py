@@ -9,10 +9,12 @@ has fully explicit laws:
     odd length 2n+1:  P(N = 2r)    = return_prob(r) * return_prob(n+1-r) * (n-r+1)/(n+1)
                       P(N = 2r-1)  = return_prob(r) * return_prob(n+1-r) * r/(n+1)
 
-With c_k = C(2k, k), so that return_prob(k) = c_k / 4^k, both are integer
-counts over one denominator: c_r c_{n-r} over 4^n, and c_r c_{n+1-r} (n-r+1)
-or c_r c_{n+1-r} r over 4^(n+1) (n+1).  The builders form exactly those
-counts, with the c_k from the ratio recurrence c_k = c_{k-1} 2(2k-1)/k.
+With c_k = C(2k, k), so that return_prob(k) = c_k / 4^k, and K = ceil(m/2),
+both come from one weight list w_r = c_r c_{K-r}, r = 0..K: the law of
+2n+1 tosses is the law of 2n+2 tosses with each atom at 2r split
+r : (n+1-r) between 2r-1 and 2r.  `law` is the one builder: it forms the
+w_r by the ratio recurrence c_k = c_{k-1} 2(2k-1)/k and places them as
+integer counts over one denominator, 4^K or 4^K K.
 
 A :class:`Distribution` is stored as its PGF, one ``QPoly`` (integer
 numerators over one denominator), so ``pgf`` is free.  ``mass`` and ``cdf``
@@ -65,7 +67,7 @@ class Distribution:
         """The law P(N = j) = counts[j] / den, j = 0..len(counts)-1, built on integers."""
         if den <= 0:
             raise DomainError(f"denominator {den} is not positive")
-        return cls(len(counts) - 1, QPoly(counts).scale(Fraction(1, den)))
+        return cls(len(counts) - 1, QPoly._make(list(counts), den))
 
     @property
     def mass(self) -> tuple[Fraction, ...]:
@@ -78,39 +80,27 @@ class Distribution:
         return self._pgf.coeff(j % (self.length + 1))
 
 
-def _central_binomials(n: int) -> list[int]:
-    """[c_0, ..., c_n], c_k = C(2k, k), by c_k = c_{k-1} 2(2k-1)/k (exact)."""
-    c = [1]
-    for k in range(1, n + 1):
-        c.append(c[-1] * 2 * (2 * k - 1) // k)
-    return c
-
-
-def even_distribution(n: int) -> Distribution:
-    """Law of the positive-step count over 2n tosses."""
-    if n < 0:
-        raise DomainError("n must be non-negative")
-    c = _central_binomials(n)
-    counts = [0] * (2 * n + 1)
-    counts[::2] = [c[r] * c[n - r] for r in range(n + 1)]
-    return Distribution.from_counts(counts, 4**n)
-
-
-def odd_distribution(n: int) -> Distribution:
-    """Law of the positive-step count over 2n+1 tosses."""
-    if n < 0:
-        raise DomainError("n must be non-negative")
-    c = _central_binomials(n + 1)
-    w = [c[r] * c[n + 1 - r] for r in range(n + 2)]
-    counts = [0] * (2 * n + 2)
-    counts[::2] = [w[r] * (n - r + 1) for r in range(n + 1)]
-    counts[1::2] = [w[r] * r for r in range(1, n + 2)]
-    return Distribution.from_counts(counts, 4 ** (n + 1) * (n + 1))
-
-
 def law(m: int) -> Distribution:
-    """Law of the positive-step count over m tosses, of either parity."""
-    return even_distribution(m // 2) if m % 2 == 0 else odd_distribution((m - 1) // 2)
+    """Law of the positive-step count over m tosses, of either parity.
+
+    With K = ceil(m/2), one weight list w_r = c_r c_{K-r}, r = 0..K, serves
+    both parities: w_r at 2r over 4^K when m is even; w_r (K-r) at 2r and
+    w_r r at 2r-1 over 4^K K when m is odd.
+    """
+    if m < 0:
+        raise DomainError(f"walk length must be non-negative, got {m}")
+    k = (m + 1) // 2
+    c = [1]
+    for j in range(1, k + 1):
+        c.append(c[-1] * 2 * (2 * j - 1) // j)
+    w = [c[r] * c[k - r] for r in range(k + 1)]
+    counts = [0] * (m + 1)
+    if m % 2 == 0:
+        counts[::2] = w
+        return Distribution.from_counts(counts, 4**k)
+    counts[::2] = [w[r] * (k - r) for r in range(k)]
+    counts[1::2] = [w[r] * r for r in range(1, k + 1)]
+    return Distribution.from_counts(counts, 4**k * k)
 
 
 def pgf(dist: Distribution) -> QPoly:

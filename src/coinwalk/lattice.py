@@ -32,8 +32,6 @@ still plain path counts: no generating-function machinery enters.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import DomainError
 from .qpoly import QPoly
 
@@ -65,5 +63,5 @@ def dp_pgf_table(n_max: int) -> list[QPoly]:
         sums = [down + up for down, up in zip(prev, prev[2:])]  # x = -n..n
         cur = sums[:n] + [(prev[n + 2] << w) + prev[n]] + [s << w for s in sums[n + 1:]]
         counts = [(cur[n] >> (w * k)) & mask for k in range(n + 1)]
-        out.append(QPoly(counts).scale(Fraction(1, 1 << n)))
+        out.append(QPoly._make(counts, 1 << n))
     return out

@@ -1,14 +1,15 @@
 """Legendre-polynomial identities for the walk PGFs.
 
-The even-length PGF (the z^{2n} series coefficient) is both the closed law of
-`coinwalk.distributions` and a scaled Legendre evaluation:
+The even-length PGF (the z^{2n} series coefficient) is both the closed law
+`pgf(law(2n))` of `coinwalk.distributions` and a scaled Legendre evaluation:
 
-    even_pgf(n) = sum_k return_prob(k) return_prob(n-k) q^{2k}
-                = q^n P_n((q + 1/q)/2)
+    pgf(law(2n)) = sum_k return_prob(k) return_prob(n-k) q^{2k}
+                 = q^n P_n((q + 1/q)/2)
 
-and the odd-length PGF has four further expressions in terms of even_pgf,
-all of which must agree exactly; an InexactDivision anywhere in this module
-falsifies an identity and is allowed to propagate.  Legendre polynomials use
+and, writing E_n = pgf(law(2n)), the odd-length PGF pgf(law(2n+1)) has five
+further expressions in terms of E_n, E_{n+1} and E_{n+2}, all of which must
+agree exactly; an InexactDivision anywhere in this module falsifies an
+identity and is allowed to propagate.  Legendre polynomials use
 the standard normalization P_n(1) = 1 and are returned as plain QPoly values
 in the argument variable, built from their explicit sum (see `legendre`), so
 the harness's Lagrange rows compare a three-term recurrence with a formula.
@@ -21,7 +22,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import accumulate
 
-from .distributions import even_distribution, pgf
+from .distributions import law, pgf
 from .errors import DomainError
 from .qpoly import QPoly, Scalar, binomial
 
@@ -37,16 +38,6 @@ def legendre(n: int) -> QPoly:
         c = binomial(n, k) * binomial(2 * n - 2 * k, n)
         nums[n - 2 * k] = -c if k % 2 else c
     return QPoly._make(nums, 2**n)
-
-
-@cache
-def even_pgf(n: int) -> QPoly:
-    """PGF of the positive-step count over 2n tosses, from the closed law.
-
-    Memoized, like `even_pgf_via_legendre`: the value is immutable, and the
-    odd identities and the verify harness ask for each n several times.
-    """
-    return pgf(even_distribution(n))
 
 
 @cache
@@ -70,34 +61,34 @@ def even_pgf_via_legendre(n: int) -> QPoly:
 
 
 def odd_pgf_via_ratio(n: int) -> QPoly:
-    """PGF over 2n+1 tosses as (even_pgf(n) q + even_pgf(n+1)) / (q+1), exactly."""
-    return (even_pgf(n).shift(1) + even_pgf(n + 1)).divide_exact(_Q_PLUS_1)
+    """PGF over 2n+1 tosses as (E_n q + E_{n+1}) / (q+1), exactly."""
+    return (pgf(law(2 * n)).shift(1) + pgf(law(2 * n + 2))).divide_exact(_Q_PLUS_1)
 
 
 def odd_pgf_via_derivative(n: int) -> QPoly:
-    """Same polynomial as even_pgf(n+1) + (1-q)/(2(n+1)) * even_pgf(n+1)'."""
-    a = even_pgf(n + 1)
+    """Same polynomial as E_{n+1} + (1-q)/(2(n+1)) * E_{n+1}'."""
+    a = pgf(law(2 * n + 2))
     return a + (QPoly((1, -1)) * a.derivative()).scale(Fraction(1, 2 * (n + 1)))
 
 
 def odd_pgf_via_three_term(n: int) -> QPoly:
     """Same polynomial from the three-term form.
 
-    [((2n+3)(q^2+1) + (2n+2)q) q even_pgf(n) + 2(n+2) even_pgf(n+2)]
+    [((2n+3)(q^2+1) + (2n+2)q) q E_n + 2(n+2) E_{n+2}]
         / [(1+q+q^2+q^3)(2n+3)]
     """
     weight = QPoly((2 * n + 3, 2 * n + 2, 2 * n + 3)).shift(1)  # ((2n+3)(q^2+1)+(2n+2)q) q
-    num = weight * even_pgf(n) + even_pgf(n + 2).scale(2 * (n + 2))
+    num = weight * pgf(law(2 * n)) + pgf(law(2 * n + 4)).scale(2 * (n + 2))
     return num.divide_exact(QPoly((1, 1, 1, 1))).scale(Fraction(1, 2 * n + 3))
 
 
 def odd_pgf_via_parity_split(n: int) -> QPoly:
     """Same polynomial assembled from its even and odd q-parts.
 
-    even part (even_pgf(n+1) - q^2 even_pgf(n)) / (1-q^2), odd part
-    q (even_pgf(n) - even_pgf(n+1)) / (1-q^2); each division is exact.
+    even part (E_{n+1} - q^2 E_n) / (1-q^2), odd part
+    q (E_n - E_{n+1}) / (1-q^2); each division is exact.
     """
-    a_n, a_n1 = even_pgf(n), even_pgf(n + 1)
+    a_n, a_n1 = pgf(law(2 * n)), pgf(law(2 * n + 2))
     one_minus_q2 = QPoly((1, 0, -1))
     even = (a_n1 - a_n.shift(2)).divide_exact(one_minus_q2)
     odd = (a_n - a_n1).shift(1).divide_exact(one_minus_q2)
@@ -115,7 +106,7 @@ def odd_pgf_via_partial_sums(n: int) -> QPoly:
     are prefix sums of the even PGFs' integer numerators over their common
     denominator, whose slot 2i-1 holds sum_{j<=i-1}.
     """
-    (lo, lo_den), (hi, hi_den) = even_pgf(n).numerators, even_pgf(n + 1).numerators
+    (lo, lo_den), (hi, hi_den) = pgf(law(2 * n)).numerators, pgf(law(2 * n + 2)).numerators
     den = math.lcm(lo_den, hi_den)
     lo = list(accumulate(c * (den // lo_den) for c in lo))
     hi = list(accumulate(c * (den // hi_den) for c in hi))
@@ -123,12 +114,6 @@ def odd_pgf_via_partial_sums(n: int) -> QPoly:
     for i in range(n + 1):
         out += [hi[2 * i] - (lo[2 * i - 1] if i else 0), lo[2 * i] - hi[2 * i]]
     return QPoly._make(out, den)
-
-
-def odd_masses_via_partial_sums(n: int) -> tuple[Fraction, ...]:
-    """The 2n + 2 coefficients of `odd_pgf_via_partial_sums` (the last is
-    return_prob(n+1) > 0, so none is trimmed)."""
-    return odd_pgf_via_partial_sums(n).coeffs
 
 
 def lagrange_series(a: Scalar, b: Scalar, order: int) -> tuple[Fraction, ...]:

@@ -127,7 +127,10 @@ def simulate(cfg: SimConfig) -> tuple[int, ...]:
     """
     m = cfg.m
     size = m + 2 if cfg.rule is PositivityRule.NON_NEGATIVE else m + 1
-    hist = np.zeros(size, dtype=np.int64)
+    try:
+        hist = np.zeros(size, dtype=np.int64)
+    except MemoryError:
+        raise DomainError(f"walk length {m} is too long for a histogram in memory") from None
     seed = cfg.seed & _MASK64
     for start in range(0, cfg.samples, _BLOCK):
         stop = min(start + _BLOCK, cfg.samples)

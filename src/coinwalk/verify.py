@@ -27,7 +27,6 @@ from .distributions import law, pgf
 from .errors import DomainError
 from .lattice import dp_pgf_table
 from .legendre import (
-    even_pgf,
     even_pgf_via_legendre,
     lagrange_series,
     legendre,
@@ -121,8 +120,7 @@ def _check_parity(max_n: int, order: int, cap: int, parity: int, dp_table: list[
     part_route = "series-even" if parity == 0 else "series-odd"
     odd_ratio = pgf_series_odd_ratio(order) if parity == 1 else None
     for m in range(parity, max_n + 1, 2):
-        # the even closed law is the memoized even_pgf the identities also read
-        closed = pgf(law(m)) if parity else even_pgf(m // 2)
+        closed = pgf(law(m))
         rows.append(_compare("dp", m, dp_table[m], closed))
         if m < order:
             rows.append(_compare("series", m, full.coeff(m), closed))
@@ -198,7 +196,7 @@ def _check_cond(max_n: int, cap: int) -> list[ReportRow]:
 def _check_legendre(max_n: int) -> list[ReportRow]:
     rows = []
     for n in range(max_n + 1):
-        rows.append(_compare("legendre-two-route", n, even_pgf_via_legendre(n), even_pgf(n)))
+        rows.append(_compare("legendre-two-route", n, even_pgf_via_legendre(n), pgf(law(2 * n))))
     count = min(max_n, 20) + 1
     rows.append(_compare("lagrange-ones", count - 1,
                          QPoly(lagrange_series(1, 0, count)), QPoly((1,) * count)))

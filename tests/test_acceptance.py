@@ -11,16 +11,15 @@ from fractions import Fraction
 
 import pytest
 
-from coinwalk.distributions import even_distribution, odd_distribution, pgf
+from coinwalk.distributions import law, pgf
 from coinwalk.lattice import dp_pgf_table
 from coinwalk.legendre import (
-    even_pgf,
     even_pgf_via_legendre,
     lagrange_series,
     legendre,
-    odd_masses_via_partial_sums,
     odd_pgf_via_derivative,
     odd_pgf_via_parity_split,
+    odd_pgf_via_partial_sums,
     odd_pgf_via_ratio,
     odd_pgf_via_three_term,
 )
@@ -58,7 +57,7 @@ def test_criterion_1_odd_law_vs_oracle():
     start = time.monotonic()
     for n in range(12):  # m = 2n+1 <= 23
         m = 2 * n + 1
-        assert oracle_distribution(m, CF) == odd_distribution(n), f"m={m}"
+        assert oracle_distribution(m, CF) == law(m), f"m={m}"
     elapsed = time.monotonic() - start
     assert elapsed < 120
     report(1, f"odd law equals enumeration for all m=2n+1<=23, exact ({elapsed:.1f}s)")
@@ -67,14 +66,14 @@ def test_criterion_1_odd_law_vs_oracle():
 def test_criterion_2_even_law_vs_oracle():
     for n in range(13):  # m = 2n <= 24
         m = 2 * n
-        assert oracle_distribution(m, CF) == even_distribution(n), f"m={m}"
+        assert oracle_distribution(m, CF) == law(m), f"m={m}"
     report(2, "even law equals enumeration for all m=2n<=24, exact")
 
 
 def test_criterion_3_four_route_agreement(dp_table, full_series):
     start = time.monotonic()
     for m in range(33):
-        closed = pgf(even_distribution(m // 2)) if m % 2 == 0 else pgf(odd_distribution((m - 1) // 2))
+        closed = pgf(law(m))
         assert full_series.coeff(m) == dp_table[m] == closed, f"m={m}"
     for m in range(21):
         assert dp_table[m] == pgf(oracle_distribution(m, CF)), f"m={m}"
@@ -88,10 +87,10 @@ def test_criterion_4_generating_function_anatomy():
     odd = pgf_series_odd(62)
     q_plus_1 = QPoly((1, 1))
     for n in range(31):
-        a_n = even_pgf(n)
+        a_n = pgf(law(2 * n))
         assert even.coeff(2 * n) == a_n == even_pgf_via_legendre(n), f"n={n}"
     for n in range(31):
-        want = (even_pgf(n).shift(1) + even_pgf(n + 1)).divide_exact(q_plus_1)
+        want = (pgf(law(2 * n)).shift(1) + pgf(law(2 * n + 2))).divide_exact(q_plus_1)
         assert odd.coeff(2 * n + 1) == want, f"n={n}"
     report(4, "even/odd series coefficients match the Legendre and exact-quotient forms, n<=30")
 
@@ -102,7 +101,7 @@ def test_criterion_5_identity_suite():
         assert odd_pgf_via_derivative(n) == base, f"n={n}"
         assert odd_pgf_via_three_term(n) == base, f"n={n}"
         assert odd_pgf_via_parity_split(n) == base, f"n={n}"
-        assert QPoly(odd_masses_via_partial_sums(n)) == base, f"n={n}"
+        assert odd_pgf_via_partial_sums(n) == base, f"n={n}"
     report(5, "all five expressions for the odd-length PGF agree exactly, n<=30")
 
 
@@ -148,6 +147,6 @@ def test_criterion_9_statistical_limit():
     assert sup < 0.05
 
     small = simulate(SimConfig(m=24, samples=100000, seed=424242))
-    tv = tv_distance(small, even_distribution(12))
+    tv = tv_distance(small, law(24))
     assert tv < 0.01
     report(9, f"arcsine sup distance {sup:.4f} < 0.05; m=24 TV distance {tv:.4f} < 0.01")

@@ -44,11 +44,11 @@ class TestDist:
         assert parse_csv(out) == [{"n": "0", "index": "0", "exact": "1", "decimal": "1"}]
 
     def test_four_tosses_match_formula(self, capsys):
-        from coinwalk.distributions import even_distribution
+        from coinwalk.distributions import law
 
         _, out, _ = run(capsys, "dist", "--n", "4")
         rows = parse_csv(out)
-        want = even_distribution(2).mass
+        want = law(4).mass
         assert [F(r["exact"]) for r in rows] == list(want)
 
     def test_exact_column_roundtrips(self, capsys):
@@ -347,9 +347,10 @@ class TestUsageErrors:
         assert code == 0
         assert sum(int(r["count"]) for r in parse_csv(out)) == 10
 
-    @pytest.mark.parametrize("m", [2**60, 2**62, 2**63 - 1])
+    @pytest.mark.parametrize("m", [2**59, 2**60, 2**62, 2**63 - 1])
     def test_walk_too_long_for_a_histogram(self, capsys, m):
-        # refused before any array is allocated
+        # refused by SimConfig, or by simulate when the histogram allocation
+        # fails (2^59 slots of int64 ask for 4 EiB and fail at once)
         code, out, err = run(capsys, "simulate", "--m", str(m), "--samples", "1")
         assert code == 2
         assert out == ""

@@ -8,9 +8,7 @@ from coinwalk.distributions import (
     _counts,
     cdf,
     conditional_positive,
-    even_distribution,
     law,
-    odd_distribution,
     pgf,
 )
 from coinwalk.errors import DomainError
@@ -35,48 +33,48 @@ class TestDistributionType:
                            "Fraction(1, 2)]))")
         assert repr(Distribution.from_counts([2, 0, 0], 2)) == (
             "Distribution(length=2, _pgf=QPoly([Fraction(1, 1)]))")
-        assert d == Distribution.from_mass([F(1, 2), 0, F(1, 2)]) == even_distribution(1)
-        assert hash(d) == hash(even_distribution(1)) == hash((2, pgf(d)))
+        assert d == Distribution.from_mass([F(1, 2), 0, F(1, 2)]) == law(2)
+        assert hash(d) == hash(law(2)) == hash((2, pgf(d)))
         assert d != Distribution.from_counts([1, 0, 1, 0], 2)  # same PGF, one more slot
 
     def test_indexing(self):
-        d = even_distribution(1)
+        d = law(2)
         assert d[0] == F(1, 2) and d[2] == F(1, 2)
         assert d.length == 2
 
 
 class TestEvenLaw:
     def test_zero_tosses(self):
-        assert even_distribution(0).mass == (F(1),)
+        assert law(0).mass == (F(1),)
 
     def test_two_tosses(self):
-        assert even_distribution(1).mass == (F(1, 2), F(0), F(1, 2))
+        assert law(2).mass == (F(1, 2), F(0), F(1, 2))
 
     def test_four_tosses(self):
-        assert even_distribution(2).mass == (F(3, 8), 0, F(1, 4), 0, F(3, 8))
+        assert law(4).mass == (F(3, 8), 0, F(1, 4), 0, F(3, 8))
 
 
 class TestOddLaw:
     def test_one_toss(self):
-        assert odd_distribution(0).mass == (F(1, 2), F(1, 2))
+        assert law(1).mass == (F(1, 2), F(1, 2))
 
     def test_three_tosses(self):
-        assert odd_distribution(1).mass == (F(3, 8), F(1, 8), F(1, 8), F(3, 8))
+        assert law(3).mass == (F(3, 8), F(1, 8), F(1, 8), F(3, 8))
 
     def test_five_tosses_top_mass(self):
-        assert odd_distribution(2)[5] == F(5, 16)
+        assert law(5)[5] == F(5, 16)
 
 
 class TestPgfCdf:
     def test_pgf_examples(self):
-        assert pgf(even_distribution(1)) == QPoly((F(1, 2), 0, F(1, 2)))
-        assert pgf(odd_distribution(1)) == QPoly((F(3, 8), F(1, 8), F(1, 8), F(3, 8)))
-        assert pgf(even_distribution(0)) == QPoly.one()
+        assert pgf(law(2)) == QPoly((F(1, 2), 0, F(1, 2)))
+        assert pgf(law(3)) == QPoly((F(3, 8), F(1, 8), F(1, 8), F(3, 8)))
+        assert pgf(law(0)) == QPoly.one()
 
     def test_cdf_examples(self):
-        assert cdf(odd_distribution(1)) == (F(3, 8), F(1, 2), F(5, 8), F(1))
-        assert cdf(even_distribution(0)) == (F(1),)
-        assert cdf(even_distribution(1)) == (F(1, 2), F(1, 2), F(1))
+        assert cdf(law(3)) == (F(3, 8), F(1, 2), F(5, 8), F(1))
+        assert cdf(law(0)) == (F(1),)
+        assert cdf(law(2)) == (F(1, 2), F(1, 2), F(1))
 
 
 class TestConditional:
@@ -97,7 +95,7 @@ class TestConditional:
 class TestInvariants:
     @pytest.mark.parametrize("m", range(65))
     def test_normalization_and_symmetry(self, m):
-        dist = even_distribution(m // 2) if m % 2 == 0 else odd_distribution((m - 1) // 2)
+        dist = law(m)
         assert sum(dist.mass) == 1
         for j in range(m + 1):
             assert dist[j] == dist[m - j]
@@ -105,25 +103,20 @@ class TestInvariants:
     @pytest.mark.parametrize("n", range(33))
     def test_even_index_half_of_odd_law(self, n):
         # each parity class of the odd-length count carries exactly half the mass
-        dist = odd_distribution(n)
+        dist = law(2 * n + 1)
         assert sum(dist[2 * r] for r in range(n + 1)) == F(1, 2)
 
     @pytest.mark.parametrize("n", range(33))
     def test_odd_law_full_support(self, n):
-        assert all(p > 0 for p in odd_distribution(n).mass)
+        assert all(p > 0 for p in law(2 * n + 1).mass)
 
     @pytest.mark.parametrize("n", range(33))
     def test_pgf_at_one(self, n):
-        assert pgf(odd_distribution(n))(1) == 1
-        assert pgf(even_distribution(n))(1) == 1
+        assert pgf(law(2 * n + 1))(1) == 1
+        assert pgf(law(2 * n))(1) == 1
 
 
 class TestLaw:
-    @pytest.mark.parametrize("m", range(9))
-    def test_dispatches_on_parity(self, m):
-        want = even_distribution(m // 2) if m % 2 == 0 else odd_distribution((m - 1) // 2)
-        assert law(m) == want
-
     @pytest.mark.parametrize("m", [-1, -2])
     def test_negative_length(self, m):
         with pytest.raises(DomainError):
@@ -164,7 +157,7 @@ class TestIntegerLaws:
         assert cdf(law(m)) == tuple(accumulate(printed_law(m)))
 
     def test_from_counts(self):
-        assert Distribution.from_counts([3, 1, 1, 3], 8) == odd_distribution(1)
+        assert Distribution.from_counts([3, 1, 1, 3], 8) == law(3)
         assert Distribution.from_counts([0, 1], 1) == Distribution.from_mass([0, 1])
 
     def test_trailing_zero_slots(self):
@@ -176,7 +169,7 @@ class TestIntegerLaws:
     @pytest.mark.parametrize("j", [3, -4])
     def test_index_outside_support(self, j):
         with pytest.raises(IndexError):
-            even_distribution(1)[j]
+            law(2)[j]
 
     @pytest.mark.parametrize("counts,den", [
         ([1, 1], 3),  # sums to 2, not 3

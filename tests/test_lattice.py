@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from coinwalk.distributions import even_distribution, law, odd_distribution, pgf
+from coinwalk.distributions import law, pgf
 from coinwalk.errors import DomainError
 from coinwalk.lattice import dp_pgf, dp_pgf_table
 from coinwalk.oracle import PositivityRule, oracle_distribution
@@ -119,8 +119,7 @@ class TestInvariants:
 
     @pytest.mark.parametrize("n", range(41))
     def test_matches_closed_form(self, n):
-        want = pgf(even_distribution(n // 2)) if n % 2 == 0 else pgf(odd_distribution((n - 1) // 2))
-        assert TABLE[n] == want
+        assert TABLE[n] == pgf(law(n))
 
     @pytest.mark.parametrize("n", range(13))
     def test_matches_oracle(self, n):

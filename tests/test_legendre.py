@@ -3,13 +3,11 @@ from itertools import accumulate
 
 import pytest
 
-from coinwalk.distributions import odd_distribution, pgf
+from coinwalk.distributions import law, pgf
 from coinwalk.legendre import (
-    even_pgf,
     even_pgf_via_legendre,
     lagrange_series,
     legendre,
-    odd_masses_via_partial_sums,
     odd_pgf_via_derivative,
     odd_pgf_via_parity_split,
     odd_pgf_via_partial_sums,
@@ -54,13 +52,13 @@ class TestLegendrePolynomials:
 
 class TestEvenPgf:
     def test_examples(self):
-        assert even_pgf(0) == QPoly.one()
-        assert even_pgf(1) == QPoly((F(1, 2), 0, F(1, 2)))
-        assert even_pgf(2) == QPoly((F(3, 8), 0, F(1, 4), 0, F(3, 8)))
+        assert pgf(law(0)) == QPoly.one()
+        assert pgf(law(2)) == QPoly((F(1, 2), 0, F(1, 2)))
+        assert pgf(law(4)) == QPoly((F(3, 8), 0, F(1, 4), 0, F(3, 8)))
 
     @pytest.mark.parametrize("n", range(31))
     def test_two_route_agreement(self, n):
-        assert even_pgf_via_legendre(n) == even_pgf(n)
+        assert even_pgf_via_legendre(n) == pgf(law(2 * n))
 
 
 class TestOddPgfRoutes:
@@ -90,36 +88,36 @@ class TestOddPgfRoutes:
         # the even/odd q-parts of the PGF are the two exact quotients
         one_minus_q2 = QPoly((1, 0, -1))
         p = odd_pgf_via_ratio(n)
-        even_want = (even_pgf(n + 1) - even_pgf(n).shift(2)).divide_exact(one_minus_q2)
-        odd_want = (even_pgf(n) - even_pgf(n + 1)).shift(1).divide_exact(one_minus_q2)
+        even_want = (pgf(law(2 * n + 2)) - pgf(law(2 * n)).shift(2)).divide_exact(one_minus_q2)
+        odd_want = (pgf(law(2 * n)) - pgf(law(2 * n + 2))).shift(1).divide_exact(one_minus_q2)
         assert parity_part(p, 0) == even_want
         assert parity_part(p, 1) == odd_want
 
 
 class TestPartialSums:
     def test_examples(self):
-        assert odd_masses_via_partial_sums(0) == (F(1, 2), F(1, 2))
-        assert odd_masses_via_partial_sums(1) == (F(3, 8), F(1, 8), F(1, 8), F(3, 8))
+        assert odd_pgf_via_partial_sums(0).coeffs == (F(1, 2), F(1, 2))
+        assert odd_pgf_via_partial_sums(1).coeffs == (F(3, 8), F(1, 8), F(1, 8), F(3, 8))
 
     @pytest.mark.parametrize("n", range(31))
     def test_sums_to_one(self, n):
-        assert sum(odd_masses_via_partial_sums(n)) == 1
+        assert sum(odd_pgf_via_partial_sums(n).coeffs) == 1
 
     @pytest.mark.parametrize("n", range(41))
     def test_integer_sums_match_fraction_sums(self, n):
         # the Fraction prefix sums the integer numerators replaced
-        lo, hi = (tuple(accumulate(even_pgf(k).coeffs)) for k in (n, n + 1))
+        lo, hi = (tuple(accumulate(pgf(law(2 * k)).coeffs)) for k in (n, n + 1))
         want = []
         for i in range(n + 1):
             want += [hi[2 * i] - (lo[2 * i - 1] if i else 0), lo[2 * i] - hi[2 * i]]
-        assert odd_masses_via_partial_sums(n) == tuple(want)
-        assert all(type(c) is F for c in odd_masses_via_partial_sums(n))
+        assert odd_pgf_via_partial_sums(n).coeffs == tuple(want)
+        assert all(type(c) is F for c in odd_pgf_via_partial_sums(n).coeffs)
         assert odd_pgf_via_partial_sums(n) == QPoly(want)
 
     @pytest.mark.parametrize("n", range(31))
     def test_matches_law_and_ratio_route(self, n):
-        masses = odd_masses_via_partial_sums(n)
-        assert masses == odd_distribution(n).mass
+        masses = odd_pgf_via_partial_sums(n).coeffs
+        assert masses == law(2 * n + 1).mass
         assert QPoly(masses) == odd_pgf_via_ratio(n)
 
 

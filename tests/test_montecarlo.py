@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from coinwalk import montecarlo
-from coinwalk.distributions import Distribution, even_distribution, odd_distribution
+from coinwalk.distributions import Distribution, law
 from coinwalk.errors import DomainError
 from coinwalk.montecarlo import (
     SimConfig,
@@ -107,11 +107,11 @@ class TestStatistics:
 
     def test_four_tosses_close_to_law(self):
         cfg = SimConfig(m=4, samples=100000, seed=31337)
-        assert tv_distance(simulate(cfg), even_distribution(2)) < 0.01
+        assert tv_distance(simulate(cfg), law(4)) < 0.01
 
     def test_m25_against_odd_law(self):
         cfg = SimConfig(m=25, samples=100000, seed=5150)
-        tv = tv_distance(simulate(cfg), odd_distribution(12))
+        tv = tv_distance(simulate(cfg), law(25))
         assert tv < 0.02
         # seed-fixed regression value recorded at first run: 0.0055739982986
         assert abs(tv - 0.0055739982986) < 1e-9
@@ -123,7 +123,7 @@ class TestStatistics:
 
 class TestReporting:
     def test_tv_identical(self):
-        d = even_distribution(2)
+        d = law(4)
         hist = tuple(int(p * 80) for p in d.mass)
         assert tv_distance(hist, d) == 0
 
@@ -133,7 +133,7 @@ class TestReporting:
 
     def test_tv_support_mismatch(self):
         with pytest.raises(DomainError):
-            tv_distance((1, 2, 3), even_distribution(2))
+            tv_distance((1, 2, 3), law(4))
 
     def test_arcsine_cdf_endpoints(self):
         assert arcsine_cdf(0.0) == 0.0
@@ -146,7 +146,7 @@ class TestReporting:
             lambda: arcsine_sup_distance((3,)),
             lambda: arcsine_sup_distance(()),
             lambda: arcsine_sup_distance((0, 0)),
-            lambda: tv_distance((0, 0), odd_distribution(0)),
+            lambda: tv_distance((0, 0), law(1)),
         ],
         ids=["arcsine-one-slot", "arcsine-empty", "arcsine-no-samples", "tv-no-samples"],
     )

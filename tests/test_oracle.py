@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coinwalk.distributions import even_distribution, law, odd_distribution
+from coinwalk.distributions import law
 from coinwalk import oracle
 from coinwalk.errors import CapExceeded
 from coinwalk.oracle import (
@@ -168,8 +168,7 @@ class TestOracleDistribution:
 
     @pytest.mark.parametrize("m", range(15))
     def test_matches_closed_forms(self, m):
-        want = even_distribution(m // 2) if m % 2 == 0 else odd_distribution((m - 1) // 2)
-        assert oracle_distribution(m, CF) == want
+        assert oracle_distribution(m, CF) == law(m)
 
 
 class TestOracleConditional:

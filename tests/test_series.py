@@ -3,10 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coinwalk.distributions import even_distribution, odd_distribution, pgf
+from coinwalk.distributions import law, pgf
 from coinwalk.errors import DomainError, InexactDivision, SqrtDomainError, ValuationError
 from coinwalk.lattice import dp_pgf_table
-from coinwalk.legendre import even_pgf
 from coinwalk.oracle import PositivityRule, oracle_distribution
 from coinwalk.qpoly import QPoly
 from coinwalk.series import (
@@ -198,7 +197,7 @@ class TestEvenExpansion:
 
     @pytest.mark.parametrize("n", range(6))
     def test_equals_even_pgf(self, n):
-        assert self.SERIES.coeff(2 * n) == even_pgf(n)
+        assert self.SERIES.coeff(2 * n) == pgf(law(2 * n))
 
     @pytest.mark.parametrize("order", [1, 2, 9, 40])
     def test_equals_product_of_both_square_roots(self, order):
@@ -302,5 +301,4 @@ class TestAgainstClosedForms:
     @pytest.mark.parametrize("m", range(16))
     def test_full_series_vs_laws(self, m):
         series = pgf_series(16)
-        want = pgf(even_distribution(m // 2)) if m % 2 == 0 else pgf(odd_distribution((m - 1) // 2))
-        assert series.coeff(m) == want
+        assert series.coeff(m) == pgf(law(m))

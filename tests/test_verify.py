@@ -199,28 +199,20 @@ class TestRunVerify:
         assert bad == []
         assert {r.n for r in rows_by_route(report, "series")} == set(range(257))
 
-    def test_each_even_law_and_legendre_evaluation_built_once(self, monkeypatch):
-        distributions = sys.modules["coinwalk.distributions"]
+    def test_each_legendre_polynomial_built_once(self, monkeypatch):
         legendre = sys.modules["coinwalk.legendre"]
-        calls = Counter()
+        calls, build = Counter(), legendre.legendre
 
-        def counted(kind, fn):
-            def wrapper(n):
-                calls[kind, n] += 1
-                return fn(n)
-            return wrapper
+        def counted(n):
+            calls[n] += 1
+            return build(n)
 
-        even_law = counted("law", distributions.even_distribution)
-        monkeypatch.setattr(distributions, "even_distribution", even_law)
-        monkeypatch.setattr(legendre, "even_distribution", even_law)
-        monkeypatch.setattr(legendre, "legendre", counted("P", legendre.legendre))
-        legendre.even_pgf.cache_clear()
+        monkeypatch.setattr(legendre, "legendre", counted)
         legendre.even_pgf_via_legendre.cache_clear()
         report = run_verify(max_n=20, order=21, cap=8)
         assert report.passed
         assert set(calls.values()) == {1}
-        assert {n for kind, n in calls if kind == "law"} == set(range(21))
-        assert {n for kind, n in calls if kind == "P"} == set(range(21))
+        assert set(calls) == set(range(21))
 
 
 class TestCsakiExpansion:
