@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import accumulate
+from math import comb
 
 import pytest
 
@@ -117,6 +118,20 @@ class TestInvariants:
 
 
 class TestLaw:
+    @pytest.mark.parametrize("m", range(9))
+    def test_dispatches_on_parity(self, m):
+        # even m: the Chung-Feller atoms C(2r,r) C(2K-2r,K-r) / 4^K at 2r;
+        # odd m: each atom of law(m + 1) at 2r split r : (K-r) onto 2r-1 and 2r
+        k = (m + 1) // 2
+        atom = [F(comb(2 * r, r) * comb(2 * k - 2 * r, k - r), 4**k) for r in range(k + 1)]
+        want = [F(0)] * (m + 1)
+        if m % 2 == 0:
+            want[::2] = atom
+        else:
+            want[::2] = [atom[r] * (k - r) / k for r in range(k)]
+            want[1::2] = [atom[r] * r / k for r in range(1, k + 1)]
+        assert law(m).mass == tuple(want)
+
     @pytest.mark.parametrize("m", [-1, -2])
     def test_negative_length(self, m):
         with pytest.raises(DomainError):
