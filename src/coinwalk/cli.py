@@ -323,6 +323,9 @@ def main(argv=None) -> int:
     except CoinwalkError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # a size past this machine's memory; exit 1 means disagreement
+        print(f"error: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
+        return 2
     finally:
         sys.set_int_max_str_digits(digits)
         sys.stdout.flush()

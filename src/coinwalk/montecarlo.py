@@ -21,10 +21,13 @@ so any internal or concurrent blocking is invisible.
 
 `simulate` counts with the enumeration module's step-major kernel, `_BLOCK`
 (2^16) walks at a time.  Word column t of a block (word t of every walk) is
-made just before steps 64t+1..64t+64 and transposed to one uint8 row per
-octet, so step k of every walk is bit (k-1) & 7 of octet row
-((k-1) >> 3) & 7, shifted and masked into one reused buffer.  A block holds
-one word column and its counters, so its memory does not grow with m.
+made just before steps 64t+1..64t+64 and transposed to 64 / w rows of the
+kernel's w-bit unsigned type (`oracle._widths(m)`; four uint16 rows for
+m = 1000), so step k of every walk is bit (k-1) % w of row ((k-1) % 64) // w,
+shifted and masked into one reused buffer of that type.  Bits in the
+kernel's own width, and its int8 flag tallies, keep every per-step numpy
+call a same-type loop.  A block holds one word column and its counters, so
+its memory does not grow with m.
 The independent references are `walk_steps`, which rebuilds any sample's steps in
 plain Python, and `count_positive`, the per-path rule the tests re-count walks
 with.  Floating point appears only in the reporting helpers (`tv_distance`,
@@ -41,7 +44,7 @@ import numpy as np
 
 from .distributions import Distribution
 from .errors import DomainError
-from .oracle import _BLOCK, PositivityRule, _count_walks
+from .oracle import _BLOCK, PositivityRule, _count_walks, _widths
 
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -102,20 +105,25 @@ def walk_steps(cfg: SimConfig, index: int) -> list[int]:
 
 
 def _block_steps(seed: int, m: int, start: int, stop: int):
-    """Yield the 0/1 bits of steps 1..m of walks start..stop-1, one uint8 vector per step.
+    """Yield the 0/1 bits of steps 1..m of walks start..stop-1, one vector per step.
 
-    Made one word column at a time (see the module docstring); the yielded
-    buffer is reused, so each vector is valid until the next one.
+    The vectors have the kernel's unsigned type (`_widths(m)`) and are made
+    one word column at a time (see the module docstring); the yielded buffer
+    is reused, so each vector is valid until the next one.
     """
     w = _words_per_walk(m)
+    unsigned = _widths(m)[1]
+    width = np.iinfo(unsigned).bits
+    little = np.dtype(unsigned).newbyteorder("<")
     # word t of walk j is mix(seed + (t + 1) * golden + j * (w * golden))
     lanes = np.arange(start, stop, dtype=np.uint64) * np.uint64(w * _GOLDEN & _MASK64)
-    bit = np.empty(stop - start, dtype=np.uint8)
+    bit = np.empty(stop - start, dtype=unsigned)
     for t in range(w):
         words = _mix_block(lanes + np.uint64((seed + (t + 1) * _GOLDEN) & _MASK64))
-        octets = words.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8).T.copy()
+        rows = words.astype("<u8", copy=False).view(little).reshape(-1, 64 // width).T
+        rows = rows.astype(unsigned, order="C")
         for k in range(64 * t, min(64 * t + 64, m)):
-            np.right_shift(octets[(k >> 3) & 7], k & 7, out=bit)
+            np.right_shift(rows[(k & 63) // width], k % width, out=bit)
             yield np.bitwise_and(bit, 1, out=bit)
 
 

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import coinwalk
+from coinwalk import cli
 from coinwalk.cli import _SERIES_BUILDERS, _dec, main
 from coinwalk.qpoly import _exact
 from coinwalk.verify import QUARANTINED, SECTIONS, ReportRow, VerifyReport
@@ -355,6 +356,25 @@ class TestUsageErrors:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv,builder", [
+        (("series", "--order", "1000000000000"), "series"),
+        (("pgf", "--n", "1000000000000", "--method", "dp"), "dp_pgf"),
+        (("verify", "--max-n", "1000000000000"), "run_verify"),
+    ])
+    def test_memory_error_is_a_usage_error(self, capsys, monkeypatch, argv, builder):
+        # exit 1 means "routes disagree"; a size past memory is exit 2, with no traceback
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        if builder == "series":
+            monkeypatch.setitem(_SERIES_BUILDERS, "full", exhausted)
+        else:
+            monkeypatch.setattr(cli, builder, exhausted)
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == "error: out of memory\n"
 
     def test_unknown_command(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -16,7 +16,7 @@ from coinwalk.montecarlo import (
     tv_distance,
     walk_steps,
 )
-from coinwalk.oracle import PositivityRule, count_positive
+from coinwalk.oracle import PositivityRule, _widths, count_positive
 
 F = Fraction
 CF = PositivityRule.CHUNG_FELLER
@@ -50,9 +50,10 @@ class TestDeterminism:
         cfg = SimConfig(m=25, samples=2000, seed=123)
         assert simulate(cfg) == simulate(cfg)
 
-    @pytest.mark.parametrize("m", [19, 63, 64, 65, 129])
+    @pytest.mark.parametrize("m", [19, 63, 64, 65, 129, 200])
     def test_block_layout_invisible(self, monkeypatch, m):
-        # 63..129 end on a partial, a full and a one-step last word column
+        # 63..129 end on a partial, a full and a one-step last word column;
+        # 200 reads uint16 rows
         cfg = SimConfig(m=m, samples=501, seed=9)
         hists = {block: simulate_in_blocks(monkeypatch, cfg, block)
                  for block in (1, 7, 64, 501, 1 << 16)}
@@ -62,6 +63,13 @@ class TestDeterminism:
         cfg = SimConfig(m=19, samples=101, seed=9)
         assert simulate_in_blocks(monkeypatch, cfg, 1 << 30) == simulate_in_blocks(
             monkeypatch, cfg, 11)
+
+    @pytest.mark.parametrize("m", [1, 126, 127, 1000, 40000])
+    def test_step_bits_in_the_kernel_width(self, m):
+        # bits narrower than the kernel's counters would add through numpy's
+        # slower mixed-type loops
+        bits = next(montecarlo._block_steps(3, m, 0, 5))
+        assert bits.dtype == _widths(m)[1]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -84,10 +92,12 @@ class TestSpotCheck:
         recount = Counter(count_positive(walk_steps(cfg, j), NN) for j in range(cfg.samples))
         assert tuple(recount.get(j, 0) for j in range(cfg.m + 2)) == hist
 
-    @pytest.mark.parametrize("m", [63, 64, 65, 130])
+    @pytest.mark.parametrize("m", [63, 64, 65, 130, 300])
     @pytest.mark.parametrize("rule", [CF, NN])
     def test_multi_word_walks(self, monkeypatch, m, rule):
-        # walks spanning several splitmix words pin the byte and word order
+        # walks spanning several splitmix words pin the byte and word order;
+        # 300 reads uint16 rows, flushes the int8 tallies twice, and ends on a
+        # partial word column
         cfg = SimConfig(m=m, samples=150, seed=17, rule=rule)
         hist = simulate_in_blocks(monkeypatch, cfg, 37)
         recount = Counter(count_positive(walk_steps(cfg, j), rule) for j in range(cfg.samples))

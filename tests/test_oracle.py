@@ -12,6 +12,7 @@ from coinwalk.errors import CapExceeded
 from coinwalk.oracle import (
     PositivityRule,
     _count_walks,
+    _widths,
     count_positive,
     enumerate_walks,
     oracle_conditional,
@@ -51,11 +52,11 @@ def bit_rows(n):
                                           min_size=1, max_size=6))
 
 
-def step_bits(rows, n, share):
-    """Step k's bits as a uint8 column, or as one int where `share` and every row agree."""
+def step_bits(rows, n, share, dtype=np.uint8):
+    """Step k's bits as a `dtype` column, or as one int where `share` and every row agree."""
     for k in range(n):
         column = {row[k] for row in rows}
-        yield column.pop() if share and len(column) == 1 else np.array([row[k] for row in rows], np.uint8)
+        yield column.pop() if share and len(column) == 1 else np.array([row[k] for row in rows], dtype)
 
 
 class TestCountingKernel:
@@ -81,6 +82,20 @@ class TestCountingKernel:
         steps = [[2 * b - 1 for b in row] for row in rows]
         assert [c.tolist() for c in counts] == [[count_positive(s, rule) for s in steps]
                                                 for rule in rules]
+
+    @pytest.mark.parametrize("n", [126, 127, 128, 254, 255, 381])
+    @pytest.mark.parametrize("kernel_width", [False, True], ids=["uint8", "kernel-width"])
+    def test_flush_boundaries(self, n, kernel_width):
+        # an all-up walk adds a flag at every step, so a 128-step window between
+        # flushes would wrap the int8 tally
+        rows = [[1] * n, [0] * n, [(k + 1) % 2 for k in range(n)], [k % 2 for k in range(n)]]
+        dtype = _widths(n)[1] if kernel_width else np.uint8
+        (cf, nn), sums = _count_walks(step_bits(rows, n, False, dtype), n, len(rows), (CF, NN))
+        steps = [[2 * b - 1 for b in row] for row in rows]
+        assert cf.tolist() == [count_positive(s, CF) for s in steps]
+        assert nn.tolist() == [count_positive(s, NN) for s in steps]
+        assert sums.tolist() == [sum(s) for s in steps]
+        assert cf[0] == n and nn[0] == n + 1
 
     @pytest.mark.parametrize("rule,expected", [(CF, 40000), (NN, 40001)])
     def test_long_walk_uses_int32_sums(self, rule, expected):
