@@ -50,7 +50,7 @@ from .oracle import (
     oracle_conditional,
     oracle_distribution,
 )
-from .qpoly import QPoly, binomial, format_poly, return_prob
+from .qpoly import QPoly, binomial, format_poly
 from .series import (
     BivariateSeries,
     nonneg_series,
@@ -108,7 +108,6 @@ __all__ = [
     "pgf_series_odd",
     "pgf_series_odd_ratio",
     "pgf_series_ratio",
-    "return_prob",
     "run_verify",
     "simulate",
     "splitmix64",

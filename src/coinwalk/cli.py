@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -23,7 +24,7 @@ from .lattice import dp_pgf
 from .legendre import lagrange_series
 from .montecarlo import SimConfig, arcsine_sup_distance, simulate, tv_distance
 from .oracle import DEFAULT_CAP, PositivityRule, oracle_conditional, oracle_distribution
-from .qpoly import _exact
+from .qpoly import QPoly
 from .series import (
     nonneg_series,
     pgf_series,
@@ -32,7 +33,7 @@ from .series import (
     pgf_series_odd_ratio,
     pgf_series_ratio,
 )
-from .verify import SECTIONS, run_verify
+from .verify import SECTIONS, ReportRow, run_verify
 
 _SERIES_BUILDERS = {
     "even": pgf_series_even,
@@ -44,6 +45,48 @@ _SERIES_BUILDERS = {
 }
 
 _RULES = {"cf": PositivityRule.CHUNG_FELLER, "nonneg": PositivityRule.NON_NEGATIVE}
+
+
+def _exact(num: int, den: int, dens: dict[int, str]) -> str:
+    """str(Fraction(num, den)) for den > 0, without a gcd of two full-width ints.
+
+    The common power of two is shifted out first; the gcd is then taken with
+    den's odd part, which is 1 or n+1 for every law here.  `dens` memoizes
+    the reduced denominators' strings.
+    """
+    if not num:
+        return "0"
+    twos = min((num & -num).bit_length(), (den & -den).bit_length()) - 1
+    num >>= twos
+    den >>= twos
+    g = math.gcd(num, den >> ((den & -den).bit_length() - 1))
+    if g != 1:
+        num //= g
+        den //= g
+    if den == 1:
+        return str(num)
+    text = dens.get(den)
+    if text is None:
+        text = dens[den] = str(den)
+    return f"{num}/{text}"
+
+
+def _report_rows(rows: Iterable[ReportRow]) -> Iterable[dict]:
+    """Verify rows as route, n, payload, status dicts; a payload is got zero-padded to size.
+
+    Agreeing routes of one length print the same payload, so each distinct
+    (got, size) is rendered once, for this report only.
+    """
+    payloads: dict[tuple[QPoly, int], str] = {}
+    dens: dict[int, str] = {}
+    for row in rows:
+        key = (row.got, row.size)
+        payload = payloads.get(key)
+        if payload is None:
+            nums, den = row.got.numerators
+            payload = payloads[key] = ",".join(
+                [_exact(c, den, dens) for c in nums] + ["0"] * (row.size - len(nums)))
+        yield {"route": row.route, "n": row.n, "payload": payload, "status": row.status}
 
 
 def _dec(num: int, den: int) -> str:
@@ -206,8 +249,7 @@ def cmd_verify(args) -> int:
         verdict = "PASS" if report.passed else "FAIL"
         print(f"verify: {verdict} ({len(report.rows)} checks)")
     else:
-        _emit([row.__dict__ for row in report.rows], ["route", "n", "payload", "status"],
-              args.format)
+        _emit(_report_rows(report.rows), ["route", "n", "payload", "status"], args.format)
     return 0 if report.passed else 1
 
 

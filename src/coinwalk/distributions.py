@@ -4,17 +4,18 @@ Under the tie rule (a zero partial sum counts as positive exactly when the
 previous sum was positive) the count N_m of positive steps among the first m
 has fully explicit laws:
 
-    even length 2n:   P(N = 2r)    = return_prob(r) * return_prob(n - r)
+    even length 2n:   P(N = 2r)    = u_r u_{n-r}
                       (odd values impossible)
-    odd length 2n+1:  P(N = 2r)    = return_prob(r) * return_prob(n+1-r) * (n-r+1)/(n+1)
-                      P(N = 2r-1)  = return_prob(r) * return_prob(n+1-r) * r/(n+1)
+    odd length 2n+1:  P(N = 2r)    = u_r u_{n+1-r} (n-r+1)/(n+1)
+                      P(N = 2r-1)  = u_r u_{n+1-r} r/(n+1)
 
-With c_k = C(2k, k), so that return_prob(k) = c_k / 4^k, and K = ceil(m/2),
-both come from one weight list w_r = c_r c_{K-r}, r = 0..K: the law of
-2n+1 tosses is the law of 2n+2 tosses with each atom at 2r split
-r : (n+1-r) between 2r-1 and 2r.  `law` is the one builder: it forms the
-w_r by the ratio recurrence c_k = c_{k-1} 2(2k-1)/k and places them as
-integer counts over one denominator, 4^K or 4^K K.
+where u_k = c_k / 4^k, c_k = C(2k, k), is the probability that the walk is
+back at the origin after 2k steps.  With K = ceil(m/2), both come from one
+weight list w_r = c_r c_{K-r}, r = 0..K: the law of 2n+1 tosses is the law
+of 2n+2 tosses with each atom at 2r split r : (n+1-r) between 2r-1 and 2r.
+`law` is the one builder: it forms the w_r by the ratio recurrence
+c_k = c_{k-1} 2(2k-1)/k and places them as integer counts over one
+denominator, 4^K or 4^K K.
 
 A :class:`Distribution` is stored as its PGF, one ``QPoly`` (integer
 numerators over one denominator), so ``pgf`` is free.  ``mass`` and ``cdf``
@@ -30,10 +31,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import DomainError
-from .qpoly import QPoly, Scalar
+from .qpoly import QPoly
 
 
 @dataclass(frozen=True)
@@ -41,8 +42,8 @@ class Distribution:
     """Exact PMF of a count statistic over support 0..length.
 
     Held as its PGF `_pgf`; `length` keeps the trailing slots whose mass is
-    zero.  Build one with `from_mass` or `from_counts`; every construction
-    checks the law on its integer numerators.
+    zero.  Build one with `from_counts`; every construction checks the law
+    on its integer numerators.
     """
 
     length: int
@@ -56,11 +57,6 @@ class Distribution:
             raise DomainError(f"masses sum to {Fraction(sum(nums), den)}, not 1")
         if self._pgf.degree > self.length:
             raise DomainError(f"PGF degree {self._pgf.degree} exceeds length {self.length}")
-
-    @classmethod
-    def from_mass(cls, mass: Iterable[Scalar]) -> "Distribution":
-        mass = tuple(mass)
-        return cls(len(mass) - 1, QPoly(mass))
 
     @classmethod
     def from_counts(cls, counts: Sequence[int], den: int) -> "Distribution":

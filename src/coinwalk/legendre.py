@@ -3,7 +3,7 @@
 The even-length PGF (the z^{2n} series coefficient) is both the closed law
 `pgf(law(2n))` of `coinwalk.distributions` and a scaled Legendre evaluation:
 
-    pgf(law(2n)) = sum_k return_prob(k) return_prob(n-k) q^{2k}
+    pgf(law(2n)) = sum_k u_k u_{n-k} q^{2k},   u_k = C(2k, k) / 4^k
                  = q^n P_n((q + 1/q)/2)
 
 and, writing E_n = pgf(law(2n)), the odd-length PGF pgf(law(2n+1)) has five
@@ -98,7 +98,7 @@ def odd_pgf_via_parity_split(n: int) -> QPoly:
 def odd_pgf_via_partial_sums(n: int) -> QPoly:
     """The (2n+1)-toss PGF from partial sums of w[2j, 2m].
 
-    With w[2j, 2m] = P(N_2m = 2j) = return_prob(j) return_prob(m-j), read off
+    With w[2j, 2m] = P(N_2m = 2j) = u_j u_{m-j}, u_k = C(2k, k) / 4^k, read off
     the even laws:
         coeff(2i)   = sum_{j<=i} w[2j, 2n+2] - sum_{j<=i-1} w[2j, 2n]
         coeff(2i+1) = sum_{j<=i} w[2j, 2n]   - sum_{j<=i}   w[2j, 2n+2]

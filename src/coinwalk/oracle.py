@@ -90,6 +90,8 @@ def enumerate_walks(n: int, rule: PositivityRule, cap: int = DEFAULT_CAP) -> Wal
         raise DomainError(f"n must be non-negative, got {n}")
     if n > cap:
         raise CapExceeded(f"n={n} exceeds enumeration cap {cap} (2^{n} paths)")
+    if 2 * (n + 2) ** 2 * 8 > np.iinfo(np.intp).max:  # _enumerate_rules' int64 joint tally
+        raise DomainError(f"n={n} is too long for a joint histogram in memory")
     return _enumerate(n, rule)
 
 

@@ -40,15 +40,6 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def return_prob(k: int) -> Fraction:
-    """Probability that a fair +-1 walk sits at the origin after 2k steps.
-
-    Equals C(2k, k) / 4^k; the building block of every closed-form law in
-    this package.
-    """
-    return Fraction(binomial(2 * k, k), 4**k)
-
-
 class QPoly:
     """Immutable dense polynomial in q over exact rationals.
 
@@ -114,8 +105,8 @@ class QPoly:
         """The canonical storage (nums, den): coefficient i is nums[i] / den.
 
         For callers that work on the integers themselves, such as the laws'
-        validation and prefix sums; read-only, like every QPoly.  `_exact`
-        renders one coefficient from it.
+        validation and prefix sums; read-only, like every QPoly.  The command
+        line renders exact text from it.
         """
         return self._nums, self._den
 
@@ -310,30 +301,6 @@ def _coerce(value) -> QPoly | None:
     if isinstance(value, (int, Fraction)):
         return QPoly((value,))
     return None
-
-
-def _exact(num: int, den: int, dens: dict[int, str]) -> str:
-    """str(Fraction(num, den)) for den > 0, without a gcd of two full-width ints.
-
-    The common power of two is shifted out first; the gcd is then taken with
-    den's odd part, which is 1 or n+1 for every law here.  `dens` memoizes
-    the reduced denominators' strings.
-    """
-    if not num:
-        return "0"
-    twos = min((num & -num).bit_length(), (den & -den).bit_length()) - 1
-    num >>= twos
-    den >>= twos
-    g = math.gcd(num, den >> ((den & -den).bit_length() - 1))
-    if g != 1:
-        num //= g
-        den //= g
-    if den == 1:
-        return str(num)
-    text = dens.get(den)
-    if text is None:
-        text = dens[den] = str(den)
-    return f"{num}/{text}"
 
 
 def format_poly(poly: QPoly, var: str = "q") -> str:

@@ -89,10 +89,6 @@ class BivariateSeries:
         return cls(order, tuple(cs))
 
     @classmethod
-    def zero(cls, order: int) -> "BivariateSeries":
-        return cls(order, (QPoly.zero(),) * order)
-
-    @classmethod
     def one(cls, order: int) -> "BivariateSeries":
         return cls.from_terms({0: 1}, order)
 

@@ -3,8 +3,9 @@
 Every law in this package can be computed several independent ways: closed
 formula, lattice recursion, series expansion, Legendre identities, exhaustive
 enumeration.  This module runs the comparisons and emits one
-:class:`ReportRow` per check with exact (never decimal) payloads, so a
-mismatch pinpoints the first differing coefficient.
+:class:`ReportRow` per check.  A row holds the exact polynomial it compared
+(never a decimal), so a mismatch pinpoints the first differing coefficient;
+the command line's csv and json writers render it as text.
 
 Two checks are findings rather than gates and never affect the pass flag
 unless promoted:
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .distributions import law, pgf
 from .errors import DomainError
@@ -37,7 +37,7 @@ from .legendre import (
     odd_pgf_via_three_term,
 )
 from .oracle import DEFAULT_CAP, PositivityRule, oracle_conditional, oracle_distribution
-from .qpoly import QPoly, _exact
+from .qpoly import QPoly
 from .series import (
     BivariateSeries,
     _odd_from_even,
@@ -62,11 +62,17 @@ LEGENDRE_PAIRS = (
 
 @dataclass(frozen=True)
 class ReportRow:
-    """One verification check: which route, which length, exact payload, verdict."""
+    """One verification check: route, length, compared polynomial, verdict.
+
+    `got` is the route's polynomial, shown zero-padded to `size` coefficients
+    (the longer side of the comparison); a skipped row and the ratio-form ok
+    row hold QPoly() with size 0.  The writers render it; the row holds no text.
+    """
 
     route: str
     n: int
-    payload: str
+    got: QPoly
+    size: int
     status: str  # "ok" | "mismatch@<j>" | "skipped:cap"
 
     @property
@@ -88,29 +94,18 @@ class VerifyReport:
         )
 
 
-@lru_cache(maxsize=16)
-def _payload(poly: QPoly, size: int) -> str:
-    """Exact coefficients of `poly`, zero-padded to at least `size` slots.
-
-    Memoized: every route that agrees on a length prints the same payload,
-    and a length's rows are made one after another.
-    """
-    nums, den = poly.numerators
-    dens: dict[int, str] = {}
-    return ",".join([_exact(c, den, dens) for c in nums] + ["0"] * (size - len(nums)))
-
-
 def _compare(route: str, n: int, got: QPoly, want: QPoly) -> ReportRow:
     """Row comparing two polynomials exactly; a rational sequence is passed as one."""
     size = max(got.degree, want.degree) + 1
     status = "ok"
     if got != want:
         status = f"mismatch@{next(j for j in range(size) if got.coeff(j) != want.coeff(j))}"
-    return ReportRow(route, n, _payload(got, size), status)
+    # an agreeing row keeps `want`: equal to got, and shared by the routes of a length
+    return ReportRow(route, n, want if status == "ok" else got, size, status)
 
 
 def _skipped(route: str, n: int) -> ReportRow:
-    return ReportRow(route, n, "", "skipped:cap")
+    return ReportRow(route, n, QPoly(), 0, "skipped:cap")
 
 
 def _check_parity(max_n: int, order: int, cap: int, parity: int, dp_table: list[QPoly],
@@ -161,10 +156,9 @@ def _check_ratio_form(order: int, dp_table: list[QPoly]) -> ReportRow:
         ratio = pgf_series_ratio(k)
         for n in range(done, k):
             if ratio.coeff(n) != dp_table[n]:
-                return ReportRow("ratio-form", n, _payload(ratio.coeff(n), n + 1),
-                                 f"mismatch@{n}")
+                return ReportRow("ratio-form", n, ratio.coeff(n), n + 1, f"mismatch@{n}")
         if k == stop:
-            return ReportRow("ratio-form", order - 1, "", "ok")
+            return ReportRow("ratio-form", order - 1, QPoly(), 0, "ok")
         done, k = k, min(2 * k, stop)
 
 

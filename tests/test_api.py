@@ -40,10 +40,11 @@ class TestPublicSurface:
     lambda: BivariateSeries(0, ()),
     lambda: run_verify(sections="nope"),
     lambda: SimConfig(m=2**60, samples=1, seed=0),  # its histogram cannot be allocated
+    lambda: enumerate_walks(10**12, PositivityRule.CHUNG_FELLER, cap=2 * 10**12),  # nor its tally
 ], ids=["shift-q", "shift-one", "shift-zero", "monomial", "monomial-coeff",
         "legendre", "lagrange_series", "enumerate_walks", "oracle_conditional",
         "binomial", "simconfig-m", "simconfig-samples", "series-order", "verify-sections",
-        "simconfig-huge-m"])
+        "simconfig-huge-m", "enumerate-huge-n"])
 def test_negative_exponent_or_size_is_a_domain_error(call):
     with pytest.raises(DomainError):
         call()

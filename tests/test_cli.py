@@ -14,9 +14,9 @@ from hypothesis import given, settings, strategies as st
 
 import coinwalk
 from coinwalk import cli
-from coinwalk.cli import _SERIES_BUILDERS, _dec, main
-from coinwalk.qpoly import _exact
-from coinwalk.verify import QUARANTINED, SECTIONS, ReportRow, VerifyReport
+from coinwalk.cli import _SERIES_BUILDERS, _dec, _exact, main
+from coinwalk.qpoly import QPoly
+from coinwalk.verify import QUARANTINED, SECTIONS, ReportRow, VerifyReport, run_verify
 
 F = Fraction
 
@@ -287,6 +287,21 @@ class TestVerify:
         assert all(r["status"] == "ok" for r in rows)
 
 
+class TestVerifyRendering:
+    def test_text_renders_nothing_and_json_each_payload_once(self, capsys, monkeypatch):
+        # rows hold polynomials; only the csv and json writers render them
+        calls = []
+        exact = cli._exact
+        monkeypatch.setattr(cli, "_exact", lambda *args: calls.append(args) or exact(*args))
+        argv = ["verify", "--max-n", "8", "--order", "9"]
+        assert main(argv) == 0
+        assert calls == []
+        assert main([*argv, "--format", "json"]) == 0
+        capsys.readouterr()
+        distinct = {(row.got, row.size) for row in run_verify(max_n=8, order=9).rows}
+        assert len(calls) == sum(len(got.numerators[0]) for got, _ in distinct) > 0
+
+
 class TestPinnedOutput:
     # sha256 prefixes of repr((stdout, stderr, exit code)) through cli.main; a
     # refactor of the harness or its formatter must leave every byte alone
@@ -357,6 +372,17 @@ class TestUsageErrors:
         assert out == ""
         assert err.startswith("error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ("oracle", "--n", "1000000000000", "--cap", "2000000000000"),
+        ("conditional", "--n", "1000000000000", "--cap", "3000000000000"),
+    ], ids=["oracle", "conditional"])
+    def test_walk_too_long_to_enumerate(self, capsys, argv):
+        # the joint tally of 2(n+2)^2 int64 slots cannot exist; numpy would raise ValueError
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
     @pytest.mark.parametrize("argv,builder", [
         (("series", "--order", "1000000000000"), "series"),
         (("pgf", "--n", "1000000000000", "--method", "dp"), "dp_pgf"),
@@ -408,7 +434,7 @@ class TestClosedStdout:
         assert err == b""
 
     def test_verify_keeps_its_verdict(self, monkeypatch):
-        failing = VerifyReport(rows=(ReportRow("dp", 0, "1", "mismatch@0"),) * 1000)
+        failing = VerifyReport(rows=(ReportRow("dp", 0, QPoly((1,)), 1, "mismatch@0"),) * 1000)
         monkeypatch.setattr("coinwalk.cli.run_verify", lambda **kwargs: failing)
         read_end, write_end = os.pipe()
         os.close(read_end)

@@ -13,7 +13,7 @@ from coinwalk.distributions import (
     pgf,
 )
 from coinwalk.errors import DomainError
-from coinwalk.qpoly import QPoly, return_prob
+from coinwalk.qpoly import QPoly
 
 F = Fraction
 
@@ -21,9 +21,9 @@ F = Fraction
 class TestDistributionType:
     def test_validation(self):
         with pytest.raises(ValueError):
-            Distribution.from_mass([F(1, 2), F(1, 4)])  # does not sum to 1
+            Distribution.from_counts([2, 1], 4)  # does not sum to 1
         with pytest.raises(ValueError):
-            Distribution.from_mass([F(3, 2), F(-1, 2)])  # negative mass
+            Distribution.from_counts([3, -1], 2)  # negative mass
         with pytest.raises(ValueError):
             Distribution(0, QPoly((F(1, 2), F(1, 2))))  # mass beyond the length
         assert Distribution(2, QPoly((1,))).mass == (F(1), F(0), F(0))  # keeps three slots
@@ -34,7 +34,7 @@ class TestDistributionType:
                            "Fraction(1, 2)]))")
         assert repr(Distribution.from_counts([2, 0, 0], 2)) == (
             "Distribution(length=2, _pgf=QPoly([Fraction(1, 1)]))")
-        assert d == Distribution.from_mass([F(1, 2), 0, F(1, 2)]) == law(2)
+        assert d == Distribution(2, QPoly((F(1, 2), 0, F(1, 2)))) == law(2)
         assert hash(d) == hash(law(2)) == hash((2, pgf(d)))
         assert d != Distribution.from_counts([1, 0, 1, 0], 2)  # same PGF, one more slot
 
@@ -139,8 +139,12 @@ class TestLaw:
 
 
 def printed_law(m):
-    """P(N_m = j), j = 0..m, straight from the printed formula in return_prob."""
-    n, u = m // 2, return_prob
+    """P(N_m = j), j = 0..m, straight from the printed formula in u_k = C(2k, k) / 4^k."""
+    n = m // 2
+
+    def u(k):
+        return F(comb(2 * k, k), 4**k)
+
     if m % 2 == 0:
         mass = [F(0)] * (m + 1)
         for r in range(n + 1):
@@ -173,7 +177,7 @@ class TestIntegerLaws:
 
     def test_from_counts(self):
         assert Distribution.from_counts([3, 1, 1, 3], 8) == law(3)
-        assert Distribution.from_counts([0, 1], 1) == Distribution.from_mass([0, 1])
+        assert Distribution.from_counts([0, 1], 1) == Distribution(1, QPoly((0, 1)))
 
     def test_trailing_zero_slots(self):
         d = Distribution.from_counts([2, 0, 0], 2)

@@ -1,6 +1,5 @@
 import hashlib
 from collections import Counter
-from fractions import Fraction
 
 import pytest
 
@@ -18,7 +17,6 @@ from coinwalk.montecarlo import (
 )
 from coinwalk.oracle import PositivityRule, _widths, count_positive
 
-F = Fraction
 CF = PositivityRule.CHUNG_FELLER
 NN = PositivityRule.NON_NEGATIVE
 
@@ -138,7 +136,7 @@ class TestReporting:
         assert tv_distance(hist, d) == 0
 
     def test_tv_disjoint(self):
-        d = Distribution.from_mass([F(1), F(0)])
+        d = Distribution.from_counts([1, 0], 1)
         assert tv_distance((0, 10), d) == 1
 
     def test_tv_support_mismatch(self):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from coinwalk.errors import InexactDivision
-from coinwalk.qpoly import QPoly, binomial, format_poly, return_prob
+from coinwalk.qpoly import QPoly, binomial, format_poly
 
 F = Fraction
 
@@ -43,18 +43,6 @@ class TestBinomial:
             binomial(-1, 0)
         with pytest.raises(ValueError):
             binomial(3, -2)
-
-
-class TestReturnProb:
-    def test_values(self):
-        assert return_prob(0) == 1
-        assert return_prob(1) == F(1, 2)
-        assert return_prob(3) == F(5, 16)
-
-    def test_recurrence(self):
-        # u_{2k} = u_{2k-2} * (2k-1)/(2k), exactly
-        for k in range(1, 65):
-            assert return_prob(k) == return_prob(k - 1) * F(2 * k - 1, 2 * k)
 
 
 small_fractions = st.fractions(

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from coinwalk.cli import _report_rows
 from coinwalk.distributions import law
 from coinwalk.lattice import dp_pgf_table
 from coinwalk.oracle import WalkStats
@@ -14,43 +15,50 @@ from coinwalk.verify import (
     VerifyReport,
     _check_ratio_form,
     _compare,
-    _payload,
     run_verify,
 )
 
 F = Fraction
+NONE = QPoly()  # what a skipped row and the ratio-form ok row hold, with size 0
 
 
 def rows_by_route(report, route):
     return [r for r in report.rows if r.route == route]
 
 
+def payload(row):
+    """The row's payload as the csv and json writers print it."""
+    return next(_report_rows([row]))["payload"]
+
+
 class TestReportMechanics:
     def test_ok_property(self):
-        assert ReportRow("dp", 3, "1/2,1/2", "ok").ok
-        assert not ReportRow("dp", 3, "1/2,1/2", "mismatch@0").ok
+        half = QPoly((F(1, 2), F(1, 2)))
+        assert ReportRow("dp", 3, half, 2, "ok").ok
+        assert not ReportRow("dp", 3, half, 2, "mismatch@0").ok
 
     def test_quarantined_routes_do_not_gate(self):
         rows = (
-            ReportRow("dp", 1, "", "ok"),
-            ReportRow("csaki", 2, "", "mismatch@0"),
-            ReportRow("ratio-form", 0, "", "mismatch@0"),
+            ReportRow("dp", 1, NONE, 0, "ok"),
+            ReportRow("csaki", 2, NONE, 0, "mismatch@0"),
+            ReportRow("ratio-form", 0, NONE, 0, "mismatch@0"),
         )
         assert VerifyReport(rows).passed
         assert not VerifyReport(rows, strict_csaki=True).passed
 
     def test_gating_routes_fail(self):
-        rows = (ReportRow("dp", 1, "", "mismatch@1"),)
+        rows = (ReportRow("dp", 1, NONE, 0, "mismatch@1"),)
         assert not VerifyReport(rows).passed
 
     def test_skips_do_not_gate(self):
-        rows = (ReportRow("oracle", 30, "", "skipped:cap"),)
+        rows = (ReportRow("oracle", 30, NONE, 0, "skipped:cap"),)
         assert VerifyReport(rows).passed
+        assert payload(rows[0]) == ""
 
 
 class TestCompare:
     # the payload is got's coefficients, zero-padded to the longer side
-    @pytest.mark.parametrize("got,want,payload,status", [
+    @pytest.mark.parametrize("got,want,text,status", [
         (QPoly((F(1, 2),)), QPoly((F(1, 2), F(1, 2))), "1/2,0", "mismatch@1"),  # got shorter
         (QPoly((F(1, 2), 0, F(1, 2))), QPoly((F(1, 2),)), "1/2,0,1/2", "mismatch@2"),  # longer
         (QPoly((F(3, 8), F(1, 8), F(1, 8), F(3, 8))), QPoly((F(3, 8), F(1, 8), F(1, 8), F(3, 8))),
@@ -61,43 +69,52 @@ class TestCompare:
         (QPoly((1, 2, 3, 4)), QPoly((1, 2, 5, 6)), "1,2,3,4", "mismatch@2"),  # first index
         (QPoly((1, 2, 3, 4)), QPoly((1, 2, 3, 5)), "1,2,3,4", "mismatch@3"),
     ])
-    def test_polynomials(self, got, want, payload, status):
-        assert _compare("r", 5, got, want) == ReportRow("r", 5, payload, status)
+    def test_polynomials(self, got, want, text, status):
+        row = _compare("r", 5, got, want)
+        assert (row.route, row.n, row.got, row.status) == ("r", 5, got, status)
+        assert payload(row) == text
 
-    @pytest.mark.parametrize("got,want,payload,status", [
+    @pytest.mark.parametrize("got,want,text,status", [
         ([F(0), F(1, 2), F(1)], [F(0), F(1, 2), F(1)], "0,1/2,1", "ok"),
         ((F(0), F(1, 3), F(1)), [F(0), F(1, 2), F(1)], "0,1/3,1", "mismatch@1"),
         ((F(1), F(2)), [F(1), F(2), F(3)], "1,2,0", "mismatch@2"),
         ((F(3, 8), F(1, 8), F(1, 8), F(3, 8)), law(3).mass, "3/8,1/8,1/8,3/8", "ok"),
         ((F(3, 8), F(1, 4), F(3, 8)), law(3).mass, "3/8,1/4,3/8,0", "mismatch@1"),
     ])
-    def test_rational_sequences(self, got, want, payload, status):
+    def test_rational_sequences(self, got, want, text, status):
         # the cond, partial-sums and lagrange rows pass their sequences as QPolys
-        assert _compare("r", 2, QPoly(got), QPoly(want)) == ReportRow("r", 2, payload, status)
+        row = _compare("r", 2, QPoly(got), QPoly(want))
+        assert (row.route, row.n, row.got, row.status) == ("r", 2, QPoly(got), status)
+        assert payload(row) == text
 
 
 class TestRatioFormRow:
     def test_printed_form_departs_at_z0(self):
-        assert _check_ratio_form(6, dp_pgf_table(4)) == ReportRow("ratio-form", 0, "0",
-                                                                  "mismatch@0")
+        row = _check_ratio_form(6, dp_pgf_table(4))
+        assert row == ReportRow("ratio-form", 0, NONE, 1, "mismatch@0")
+        assert payload(row) == "0"
 
-    @pytest.mark.parametrize("bad,payload", [
+    @pytest.mark.parametrize("bad,text", [
         (QPoly((F(1, 2),)), "1/2,0,0"),  # padded to the n + 1 slots of the z^n law
         (QPoly((0, 1, 1, 1)), "0,1,1,1"),  # longer than that: printed whole
     ])
-    def test_payload_of_first_departure(self, monkeypatch, bad, payload):
+    def test_payload_of_first_departure(self, monkeypatch, bad, text):
         table = dp_pgf_table(3)
         coeffs = (*table[:2], bad, table[3])
         monkeypatch.setattr("coinwalk.verify.pgf_series_ratio",
                             lambda order: BivariateSeries(order, coeffs[:order]))
-        assert _check_ratio_form(4, table) == ReportRow("ratio-form", 2, payload, "mismatch@2")
+        row = _check_ratio_form(4, table)
+        assert row == ReportRow("ratio-form", 2, bad, 3, "mismatch@2")
+        assert payload(row) == text
 
     def test_agreement_row(self, monkeypatch):
         table = dp_pgf_table(2)
         coeffs = (*table, QPoly((1,)))
         monkeypatch.setattr("coinwalk.verify.pgf_series_ratio",
                             lambda order: BivariateSeries(order, coeffs[:order]))
-        assert _check_ratio_form(4, table) == ReportRow("ratio-form", 3, "", "ok")
+        row = _check_ratio_form(4, table)
+        assert row == ReportRow("ratio-form", 3, NONE, 0, "ok")
+        assert payload(row) == ""
 
 
 class TestLazyRatioForm:
@@ -108,9 +125,8 @@ class TestLazyRatioForm:
         ratio = build(order)
         for n in range(min(order, len(dp_table))):
             if ratio.coeff(n) != dp_table[n]:
-                return ReportRow("ratio-form", n, _payload(ratio.coeff(n), n + 1),
-                                 f"mismatch@{n}")
-        return ReportRow("ratio-form", order - 1, "", "ok")
+                return ReportRow("ratio-form", n, ratio.coeff(n), n + 1, f"mismatch@{n}")
+        return ReportRow("ratio-form", order - 1, NONE, 0, "ok")
 
     @pytest.mark.parametrize("k", [0, 3, 40])
     def test_printed_form(self, k):
