@@ -23,9 +23,9 @@ from .errors import (
 )
 from .lattice import dp_pgf, dp_pgf_table
 from .legendre import (
-    even_pgf_via_legendre,
     lagrange_series,
     legendre,
+    legendre_pgf_table,
     odd_pgf_via_derivative,
     odd_pgf_via_parity_split,
     odd_pgf_via_partial_sums,
@@ -89,11 +89,11 @@ __all__ = [
     "dp_pgf",
     "dp_pgf_table",
     "enumerate_walks",
-    "even_pgf_via_legendre",
     "format_poly",
     "lagrange_series",
     "law",
     "legendre",
+    "legendre_pgf_table",
     "nonneg_series",
     "odd_pgf_via_derivative",
     "odd_pgf_via_parity_split",

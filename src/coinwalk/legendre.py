@@ -11,15 +11,15 @@ further expressions in terms of E_n, E_{n+1} and E_{n+2}, all of which must
 agree exactly; an InexactDivision anywhere in this module falsifies an
 identity and is allowed to propagate.  Legendre polynomials use
 the standard normalization P_n(1) = 1 and are returned as plain QPoly values
-in the argument variable, built from their explicit sum (see `legendre`), so
-the harness's Lagrange rows compare a three-term recurrence with a formula.
+in the argument variable, built from their explicit sum (see `legendre`).  The
+recurrence `lagrange_series` meets the closed product law at polynomial (a, b)
+(the two-route rows) and the explicit sum at rational (a, b) (the Lagrange rows).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cache
 from itertools import accumulate
 
 from .distributions import law, pgf
@@ -27,6 +27,8 @@ from .errors import DomainError
 from .qpoly import QPoly, Scalar, binomial
 
 _Q_PLUS_1 = QPoly((1, 1))
+_LEGENDRE_A = QPoly((Fraction(1, 2), 0, Fraction(1, 2)))  # (1 + q^2)/2
+_LEGENDRE_B = QPoly((Fraction(1, 4), 0, Fraction(-1, 4)))  # (1 - q^2)/4
 
 
 def legendre(n: int) -> QPoly:
@@ -40,24 +42,14 @@ def legendre(n: int) -> QPoly:
     return QPoly._make(nums, 2**n)
 
 
-@cache
-def even_pgf_via_legendre(n: int) -> QPoly:
-    """The same polynomial as q^n P_n((q + 1/q)/2), by Laurent evaluation.
+def legendre_pgf_table(n_max: int) -> list[QPoly]:
+    """[q^n P_n((q + 1/q)/2) for n = 0..n_max]: `lagrange_series` at polynomial (a, b).
 
-    Written homogeneously: with P_n(x) = sum_j a_j x^j / d on P_n's integer
-    numerators a_j over its denominator d,
-    q^n P_n((q^2+1)/(2q)) = sum_j a_j (q^2+1)^j (2q)^{n-j} / (2^n d), which is
-    a genuine polynomial (every q-power is non-negative), so no
-    rational-function type is ever involved.  The sum runs by homogeneous
-    Horner, j = n down to 0, on a plain int list: acc (q^2+1) is a shifted
-    add, then a_j 2^{n-j} joins the q^{n-j} slot; 1/(2^n d) is applied once.
+    By DLMF 18.12, sum_n q^n P_n(x) z^n = 1/sqrt(1 - 2xqz + q^2 z^2): a = xq, a^2 - 4b^2 = q^2.
     """
-    nums, den = legendre(n).numerators  # n + 1 of them: P_n has degree n
-    acc = [nums[n]]
-    for j in range(n - 1, -1, -1):
-        acc = [x + y for x, y in zip(acc + [0, 0], [0, 0] + acc)]
-        acc[n - j] += nums[j] << (n - j)
-    return QPoly._make(acc, den << n)
+    if n_max < 0:
+        raise DomainError(f"degree must be non-negative, got {n_max}")
+    return list(lagrange_series(_LEGENDRE_A, _LEGENDRE_B, n_max + 1))
 
 
 def odd_pgf_via_ratio(n: int) -> QPoly:
@@ -116,17 +108,21 @@ def odd_pgf_via_partial_sums(n: int) -> QPoly:
     return QPoly._make(out, den)
 
 
-def lagrange_series(a: Scalar, b: Scalar, order: int) -> tuple[Fraction, ...]:
+def lagrange_series(a: Scalar | QPoly, b: Scalar | QPoly, order: int) -> tuple:
     """Coefficients of 1/sqrt(1 - 2az + (a^2 - 4b^2) z^2) by three-term recurrence.
 
     (m+1) c_{m+1} = (2m+1) a c_m - m (a^2 - 4b^2) c_{m-1}, c_0 = 1, c_1 = a.
-    When a^2 - 4b^2 = 1 the coefficients are the Legendre values P_m(a).
+    When a^2 - 4b^2 = 1 the coefficients are the Legendre values P_m(a), which
+    the Lagrange rows compare with the explicit sum; at polynomial (a, b), as
+    `legendre_pgf_table`, the two-route rows compare them with the closed law.
     """
     if order < 0:
         raise DomainError(f"order must be non-negative, got {order}")
-    a = Fraction(a)
-    c = a**2 - 4 * Fraction(b) ** 2
-    out = [Fraction(1), a][:order]
+    if not isinstance(a, QPoly):  # rational (a, b) give Fractions, polynomial a QPolys
+        a, b = Fraction(a), Fraction(b)
+    one = QPoly.one() if isinstance(a, QPoly) else Fraction(1)
+    c = a * a - 4 * b * b
+    out = [one, a][:order]
     for m in range(1, order - 1):
-        out.append(((2 * m + 1) * a * out[m] - m * c * out[m - 1]) / (m + 1))
+        out.append(((2 * m + 1) * a * out[m] - m * c * out[m - 1]) * Fraction(1, m + 1))
     return tuple(out)

@@ -27,9 +27,9 @@ from .distributions import law, pgf
 from .errors import DomainError
 from .lattice import dp_pgf_table
 from .legendre import (
-    even_pgf_via_legendre,
     lagrange_series,
     legendre,
+    legendre_pgf_table,
     odd_pgf_via_derivative,
     odd_pgf_via_parity_split,
     odd_pgf_via_partial_sums,
@@ -109,7 +109,8 @@ def _skipped(route: str, n: int) -> ReportRow:
 
 
 def _check_parity(max_n: int, order: int, cap: int, parity: int, dp_table: list[QPoly],
-                  full: BivariateSeries, part: BivariateSeries) -> list[ReportRow]:
+                  legendre_table: list[QPoly] | None, full: BivariateSeries,
+                  part: BivariateSeries) -> list[ReportRow]:
     """Rows for every m of one parity; `part` is that parity's series expansion."""
     rows = []
     part_route = "series-even" if parity == 0 else "series-odd"
@@ -129,7 +130,7 @@ def _check_parity(max_n: int, order: int, cap: int, parity: int, dp_table: list[
         else:
             rows.append(_skipped("oracle", m))
         if parity == 0:
-            rows.append(_compare("legendre", m, even_pgf_via_legendre(m // 2), closed))
+            rows.append(_compare("legendre", m, legendre_table[m // 2], closed))
         else:
             n = (m - 1) // 2
             if m < order:
@@ -187,10 +188,9 @@ def _check_cond(max_n: int, cap: int) -> list[ReportRow]:
     return rows
 
 
-def _check_legendre(max_n: int) -> list[ReportRow]:
-    rows = []
-    for n in range(max_n + 1):
-        rows.append(_compare("legendre-two-route", n, even_pgf_via_legendre(n), pgf(law(2 * n))))
+def _check_legendre(max_n: int, legendre_table: list[QPoly]) -> list[ReportRow]:
+    rows = [_compare("legendre-two-route", n, got, pgf(law(2 * n)))
+            for n, got in enumerate(legendre_table)]
     count = min(max_n, 20) + 1
     rows.append(_compare("lagrange-ones", count - 1,
                          QPoly(lagrange_series(1, 0, count)), QPoly((1,) * count)))
@@ -212,15 +212,18 @@ def run_verify(max_n: int = 12, order: int = 32, sections: str = "all",
     if sections not in SECTIONS:
         raise DomainError(f"unknown section {sections!r}; choose from {SECTIONS}")
     rows: list[ReportRow] = []
+    # built once, only as far as a compared row reads
+    legendre_table = (legendre_pgf_table(max_n // 2 if sections == "even" else max_n)
+                      if sections in ("all", "even", "legendre") else None)
     if sections in ("all", "even", "odd"):
         dp_table = dp_pgf_table(max_n)
         even = pgf_series_even(order + 1)
         odd = _odd_from_even(even)
         full = even + odd  # what pgf_series(order) returns
         if sections in ("all", "even"):
-            rows.extend(_check_parity(max_n, order, cap, 0, dp_table, full, even))
+            rows.extend(_check_parity(max_n, order, cap, 0, dp_table, legendre_table, full, even))
         if sections in ("all", "odd"):
-            rows.extend(_check_parity(max_n, order, cap, 1, dp_table, full, odd))
+            rows.extend(_check_parity(max_n, order, cap, 1, dp_table, legendre_table, full, odd))
         if sections == "all":
             rows.append(_check_ratio_form(order, dp_table))
     if sections in ("all", "csaki"):
@@ -228,5 +231,5 @@ def run_verify(max_n: int = 12, order: int = 32, sections: str = "all",
     if sections in ("all", "cond"):
         rows.extend(_check_cond(max_n // 2 if sections == "all" else max_n, cap))
     if sections in ("all", "legendre"):
-        rows.extend(_check_legendre(max_n))
+        rows.extend(_check_legendre(max_n, legendre_table))
     return VerifyReport(rows=tuple(rows), strict_csaki=strict_csaki)

@@ -14,9 +14,9 @@ import pytest
 from coinwalk.distributions import law, pgf
 from coinwalk.lattice import dp_pgf_table
 from coinwalk.legendre import (
-    even_pgf_via_legendre,
     lagrange_series,
     legendre,
+    legendre_pgf_table,
     odd_pgf_via_derivative,
     odd_pgf_via_parity_split,
     odd_pgf_via_partial_sums,
@@ -86,9 +86,10 @@ def test_criterion_4_generating_function_anatomy():
     even = pgf_series_even(61)
     odd = pgf_series_odd(62)
     q_plus_1 = QPoly((1, 1))
+    legendre_table = legendre_pgf_table(30)
     for n in range(31):
         a_n = pgf(law(2 * n))
-        assert even.coeff(2 * n) == a_n == even_pgf_via_legendre(n), f"n={n}"
+        assert even.coeff(2 * n) == a_n == legendre_table[n], f"n={n}"
     for n in range(31):
         want = (pgf(law(2 * n)).shift(1) + pgf(law(2 * n + 2))).divide_exact(q_plus_1)
         assert odd.coeff(2 * n + 1) == want, f"n={n}"

@@ -2,7 +2,7 @@ import pytest
 
 import coinwalk
 from coinwalk.errors import DomainError
-from coinwalk.legendre import lagrange_series, legendre
+from coinwalk.legendre import lagrange_series, legendre, legendre_pgf_table
 from coinwalk.montecarlo import SimConfig
 from coinwalk.oracle import PositivityRule, enumerate_walks, oracle_conditional
 from coinwalk.qpoly import QPoly, binomial
@@ -32,6 +32,7 @@ class TestPublicSurface:
     lambda: QPoly.monomial(-2, 5),  # was 5
     lambda: legendre(-1),
     lambda: lagrange_series(1, 0, -1),
+    lambda: legendre_pgf_table(-1),
     lambda: enumerate_walks(-1, PositivityRule.CHUNG_FELLER),
     lambda: oracle_conditional(0),
     lambda: binomial(-1, 0),  # was a plain ValueError, as were the four below
@@ -42,9 +43,9 @@ class TestPublicSurface:
     lambda: SimConfig(m=2**60, samples=1, seed=0),  # its histogram cannot be allocated
     lambda: enumerate_walks(10**12, PositivityRule.CHUNG_FELLER, cap=2 * 10**12),  # nor its tally
 ], ids=["shift-q", "shift-one", "shift-zero", "monomial", "monomial-coeff",
-        "legendre", "lagrange_series", "enumerate_walks", "oracle_conditional",
-        "binomial", "simconfig-m", "simconfig-samples", "series-order", "verify-sections",
-        "simconfig-huge-m", "enumerate-huge-n"])
+        "legendre", "lagrange_series", "legendre_pgf_table", "enumerate_walks",
+        "oracle_conditional", "binomial", "simconfig-m", "simconfig-samples", "series-order",
+        "verify-sections", "simconfig-huge-m", "enumerate-huge-n"])
 def test_negative_exponent_or_size_is_a_domain_error(call):
     with pytest.raises(DomainError):
         call()

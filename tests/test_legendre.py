@@ -5,9 +5,9 @@ import pytest
 
 from coinwalk.distributions import law, pgf
 from coinwalk.legendre import (
-    even_pgf_via_legendre,
     lagrange_series,
     legendre,
+    legendre_pgf_table,
     odd_pgf_via_derivative,
     odd_pgf_via_parity_split,
     odd_pgf_via_partial_sums,
@@ -18,6 +18,11 @@ from coinwalk.qpoly import QPoly
 from coinwalk.series import BivariateSeries
 
 F = Fraction
+
+
+@pytest.fixture(scope="module")
+def legendre_table():
+    return legendre_pgf_table(30)
 
 
 def parity_part(p, parity):
@@ -57,8 +62,35 @@ class TestEvenPgf:
         assert pgf(law(4)) == QPoly((F(3, 8), 0, F(1, 4), 0, F(3, 8)))
 
     @pytest.mark.parametrize("n", range(31))
-    def test_two_route_agreement(self, n):
-        assert even_pgf_via_legendre(n) == pgf(law(2 * n))
+    def test_two_route_agreement(self, legendre_table, n):
+        assert legendre_table[n] == pgf(law(2 * n))
+
+    @pytest.mark.parametrize("n", range(21))
+    def test_table_matches_explicit_sum_in_q(self, legendre_table, n):
+        # reference: with P_n = sum_j a_j x^j / d on its integer numerators,
+        # q^n P_n((q^2+1)/(2q)) = sum_j a_j (q^2+1)^j (2q)^{n-j} / (2^n d), summed by
+        # homogeneous Horner, j = n down to 0: acc (q^2+1) is a shifted add, then
+        # a_j 2^{n-j} joins the q^{n-j} slot
+        nums, den = legendre(n).numerators
+        acc = [nums[n]]
+        for j in range(n - 1, -1, -1):
+            acc = [x + y for x, y in zip(acc + [0, 0], [0, 0] + acc)]
+            acc[n - j] += nums[j] << (n - j)
+        assert legendre_table[n] == QPoly(F(c, den << n) for c in acc)
+
+    def test_table_is_lagrange_series_at_polynomial_a_b(self):
+        a, b = QPoly((F(1, 2), 0, F(1, 2))), QPoly((F(1, 4), 0, F(-1, 4)))
+        assert a * a - 4 * b * b == QPoly.monomial(2)
+        coeffs = lagrange_series(a, b, 21)
+        assert all(type(c) is QPoly for c in coeffs)
+        assert list(coeffs) == legendre_pgf_table(20)
+        assert legendre_pgf_table(0) == [QPoly.one()]
+
+    def test_lagrange_series_on_constant_polynomials_matches_scalars(self):
+        a, b = F(5, 4), F(3, 8)
+        got = lagrange_series(QPoly((a,)), QPoly((b,)), 21)
+        assert all(type(c) is QPoly for c in got)
+        assert got == tuple(QPoly((c,)) for c in lagrange_series(a, b, 21))
 
 
 class TestOddPgfRoutes:

@@ -1,5 +1,4 @@
 import sys
-from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -7,10 +6,12 @@ import pytest
 from coinwalk.cli import _report_rows
 from coinwalk.distributions import law
 from coinwalk.lattice import dp_pgf_table
+from coinwalk.legendre import legendre, legendre_pgf_table
 from coinwalk.oracle import WalkStats
 from coinwalk.qpoly import QPoly
 from coinwalk.series import BivariateSeries, nonneg_series, pgf_series, pgf_series_ratio
 from coinwalk.verify import (
+    SECTIONS,
     ReportRow,
     VerifyReport,
     _check_ratio_form,
@@ -215,20 +216,31 @@ class TestRunVerify:
         assert bad == []
         assert {r.n for r in rows_by_route(report, "series")} == set(range(257))
 
-    def test_each_legendre_polynomial_built_once(self, monkeypatch):
-        legendre = sys.modules["coinwalk.legendre"]
-        calls, build = Counter(), legendre.legendre
+    @pytest.mark.parametrize("max_n", [7, 21])
+    @pytest.mark.parametrize("sections", SECTIONS)
+    def test_legendre_table_built_only_as_far_as_compared(self, monkeypatch, sections, max_n):
+        sizes, calls = [], []
+
+        def recorded(n_max):
+            sizes.append(n_max)
+            return legendre_pgf_table(n_max)
 
         def counted(n):
-            calls[n] += 1
-            return build(n)
+            calls.append(n)
+            return legendre(n)
 
-        monkeypatch.setattr(legendre, "legendre", counted)
-        legendre.even_pgf_via_legendre.cache_clear()
-        report = run_verify(max_n=20, order=21, cap=8)
+        monkeypatch.setattr("coinwalk.verify.legendre_pgf_table", recorded)
+        # the table must not fall back on the explicit sum, so its module is counted too
+        monkeypatch.setattr("coinwalk.verify.legendre", counted)
+        monkeypatch.setattr(sys.modules["coinwalk.legendre"], "legendre", counted)
+        report = run_verify(max_n=max_n, order=max_n + 1, sections=sections, cap=8)
         assert report.passed
-        assert set(calls.values()) == {1}
-        assert set(calls) == set(range(21))
+        # once per run, to the largest n a two-route or even-parity legendre row reads
+        assert sizes == {"all": [max_n], "legendre": [max_n], "even": [max_n // 2]}.get(
+            sections, [])
+        # the explicit sum is built by the Lagrange rows only: three pairs, min(max_n, 20) + 1 each
+        lagrange_rows = sections in ("all", "legendre")
+        assert len(calls) == (3 * (min(max_n, 20) + 1) if lagrange_rows else 0)
 
 
 class TestCsakiExpansion:
