@@ -323,6 +323,10 @@ class TestPinnedOutput:
         "lagrange --a 1 --b 1/2 --order 6 --format csv": "12b9e8997af230d9",
         # every series builder, far enough out that each engine op is exercised
         "series --which csaki --order 60": "0938195ab8e7ffea",
+        # small orders, where the builder's two slack terms and its truncation meet
+        "series --which csaki --order 1": "0c4acecfc332bbf9",
+        "series --which csaki --order 2": "130bee13925caf2b",
+        "series --which csaki --order 7": "6a05f721fee069c5",
         "series --which even --order 60": "d526ae9e92a03d01",
         "series --which full --order 60": "e3ccb44c260c7be5",
         "series --which odd --order 60": "054bc2adb4901122",
