@@ -9,7 +9,8 @@ so the denominators stay small and shared, and each operation is integer
 arithmetic plus one gcd reduction of its result; ``coeffs`` hands out
 Fractions only at the boundary.  Division is integer long division that
 rescales by the divisor's leading coefficient only when a leading term is not
-a multiple of it (never, for the monic divisors the routes use).  It is
+a multiple of it: never for the divisors q+1, 1-q^2, 1+q+q^2+q^3 with lead
++-1, often for the constants 2 and -16 the series routes divide by.  It is
 exact-or-loud: a nonzero remainder raises
 :class:`~coinwalk.errors.InexactDivision` instead of being discarded, because
 every division performed here encodes an identity that is supposed to hold
@@ -229,10 +230,8 @@ class QPoly:
 
         Runs on the integer numerators: rem and quot share one integer scale,
         raised by |lead| / gcd only when a leading term is not a multiple of
-        the divisor's lead (never, for a monic divisor).
+        the divisor's lead (never, for a lead of +-1).
         """
-        if not isinstance(div, QPoly):
-            div = QPoly((div,))
         if div.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         dd = div.degree

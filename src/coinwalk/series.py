@@ -6,11 +6,11 @@ is exact; results carry the minimum order of the operands, and truncation is
 always explicit (no lazy streams), so every computation has a reproducible
 cost and an auditable precision.
 
-Division runs in two stages: first the z-valuation of the denominator is
-cancelled (numerator must vanish at least as fast, else ValuationError), then
-ordinary long division proceeds with one exact q-polynomial division per
-output coefficient.  When the denominator's post-cancellation constant term
-is a plain rational this is the classic series reciprocal; when it is a
+Division is the classic series recurrence: one exact q-polynomial division
+per output coefficient by the denominator's z^0 coefficient, which must be
+nonzero (else ValuationError).  A builder whose denominator carries a factor
+z cancels it from both sides with `shift_down` first.  When the z^0
+coefficient is a plain rational each step always divides; when it is a
 polynomial such as q+1 each step must divide exactly or the whole run aborts
 with InexactDivision.  Aborting is the point: the expansions built here
 (`pgf_series_*`, `nonneg_series`) encode identities whose failure must
@@ -52,7 +52,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Union
 
-from .errors import DomainError, InexactDivision, SqrtDomainError, ValuationError
+from .errors import DomainError, SqrtDomainError, ValuationError
 from .qpoly import QPoly
 
 _PolyLike = Union[QPoly, int, Fraction]
@@ -99,13 +99,6 @@ class BivariateSeries:
             raise DomainError(f"z^{n} not retained at order {self.order}")
         return self.coeffs[n]
 
-    def valuation(self) -> int | None:
-        """Smallest z-power with nonzero coefficient; None if zero to this order."""
-        for n, c in enumerate(self.coeffs):
-            if c:
-                return n
-        return None
-
     def truncate(self, order: int) -> "BivariateSeries":
         if order > self.order:
             raise DomainError(f"cannot extend order {self.order} to {order}")
@@ -149,27 +142,16 @@ class BivariateSeries:
     def __truediv__(self, den: "BivariateSeries") -> "BivariateSeries":
         """Series quotient with quotient * den = num up to truncation.
 
-        Valuations cancel first; then each output coefficient requires one
-        exact division by the denominator's leading q-polynomial.
+        Each output coefficient requires one exact division by the
+        denominator's z^0 coefficient.
         """
-        v = den.valuation()
-        if v is None:
-            raise ValuationError("division by a series that is zero to its order")
-        if v:
-            num_v = self.valuation()
-            if num_v is not None and num_v < v:
-                raise ValuationError(
-                    f"numerator valuation {num_v} below denominator valuation {v}"
-                )
-            num = self.shift_down(v) if num_v is not None else self.truncate(self.order - v)
-            den = den.shift_down(v)
-        else:
-            num = self
-        z = min(num.order, den.order)
         lead = den.coeffs[0]
+        if not lead:
+            raise ValuationError("denominator has no z^0 term; cancel z with shift_down first")
+        z = min(self.order, den.order)
         out: list[QPoly] = []
         for n in range(z):
-            acc = num.coeffs[n] - QPoly.dot(out, den.coeffs[n:0:-1])
+            acc = self.coeffs[n] - QPoly.dot(out, den.coeffs[n:0:-1])
             out.append(acc.divide_exact(lead))
         return BivariateSeries(z, tuple(out))
 
@@ -329,8 +311,8 @@ def nonneg_series(order: int) -> BivariateSeries:
         + BivariateSeries.from_terms({1: QPoly((1, -1)), 2: QPoly.q()}, o)
         - one
     )
-    # 2(z-1) z (qz-1) = z * 2(z-1)(qz-1)
+    # 2(z-1) z (qz-1) = z * 2(z-1)(qz-1); its z divides correction_num first
     correction_den = BivariateSeries.from_terms(
         {0: 2, 1: QPoly((-2, -2)), 2: QPoly.monomial(1, 2)}, o
-    ).shift_up(1)
-    return (geometric + correction_num / correction_den).truncate(order)
+    )
+    return (geometric + correction_num.shift_down(1) / correction_den).truncate(order)

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .distributions import law, pgf
+from .distributions import conditional_positive, law, pgf
 from .errors import DomainError
 from .lattice import dp_pgf_table
 from .legendre import (
@@ -86,12 +86,24 @@ class VerifyReport:
     strict_csaki: bool = False
 
     @property
-    def passed(self) -> bool:
+    def _gating(self) -> list[ReportRow]:
         quarantined = QUARANTINED - ({"csaki"} if self.strict_csaki else set())
-        return all(
-            row.ok or row.route in quarantined or row.status.startswith("skipped")
-            for row in self.rows
-        )
+        return [row for row in self.rows if row.route not in quarantined]
+
+    @property
+    def mismatched(self) -> bool:
+        """True when a gating row compared and disagreed."""
+        return any(row.status.startswith("mismatch") for row in self._gating)
+
+    @property
+    def unchecked(self) -> tuple[str, ...]:
+        """Gating routes all of whose rows are skipped: they compared nothing."""
+        compared = {row.route for row in self._gating if not row.status.startswith("skipped")}
+        return tuple(dict.fromkeys(row.route for row in self._gating if row.route not in compared))
+
+    @property
+    def passed(self) -> bool:
+        return not (self.mismatched or self.unchecked)
 
 
 def _compare(route: str, n: int, got: QPoly, want: QPoly) -> ReportRow:
@@ -183,7 +195,7 @@ def _check_cond(max_n: int, cap: int) -> list[ReportRow]:
             rows.append(_skipped("cond", n))
             continue
         got = QPoly(oracle_conditional(n, cap=cap))
-        want = QPoly(Fraction(r, n) for r in range(n + 1))
+        want = QPoly(conditional_positive(n, r) for r in range(n + 1))
         rows.append(_compare("cond", n, got, want))
     return rows
 

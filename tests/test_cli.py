@@ -262,6 +262,13 @@ class TestVerify:
         assert sum(" cond " in f" {line} " for line in out.splitlines()) == 6
         assert "PASS" in out
 
+    def test_route_that_compared_nothing(self, capsys):
+        # every cond row is skipped by the cap: no PASS, and exit 2 rather than 1
+        code, out, err = run(capsys, "verify", "--sections", "cond", "--max-n", "5", "--cap", "0")
+        assert code == 2
+        assert out.splitlines()[-1] == "verify: FAIL (5 checks)"
+        assert err == "error: no comparison made by cond\n"
+
     def test_even_section_small(self, capsys):
         code, out, _ = run(capsys, "verify", "--sections", "even", "--max-n", "10", "--order", "12")
         assert code == 0

@@ -50,11 +50,25 @@ class TestReportMechanics:
     def test_gating_routes_fail(self):
         rows = (ReportRow("dp", 1, NONE, 0, "mismatch@1"),)
         assert not VerifyReport(rows).passed
+        assert VerifyReport(rows).mismatched
 
     def test_skips_do_not_gate(self):
-        rows = (ReportRow("oracle", 30, NONE, 0, "skipped:cap"),)
+        rows = (ReportRow("oracle", 4, NONE, 0, "ok"), ReportRow("oracle", 30, NONE, 0, "skipped:cap"))
         assert VerifyReport(rows).passed
-        assert payload(rows[0]) == ""
+        assert VerifyReport(rows).unchecked == ()
+        assert payload(rows[1]) == ""
+
+    def test_route_that_compared_nothing_fails(self):
+        # a PASS is never vacuous: a gating route with only skipped rows fails
+        rows = (ReportRow("dp", 1, NONE, 0, "ok"), ReportRow("oracle", 30, NONE, 0, "skipped:cap"))
+        report = VerifyReport(rows)
+        assert report.unchecked == ("oracle",)
+        assert not report.passed and not report.mismatched
+
+    def test_quarantined_skips_are_not_unchecked(self):
+        rows = (ReportRow("dp", 1, NONE, 0, "ok"), ReportRow("csaki", 30, NONE, 0, "skipped:cap"))
+        assert VerifyReport(rows).passed
+        assert VerifyReport(rows, strict_csaki=True).unchecked == ("csaki",)
 
 
 class TestCompare:
