@@ -250,9 +250,10 @@ def cmd_verify(args) -> int:
         print(f"verify: {verdict} ({len(report.rows)} checks)")
     else:
         _emit(_report_rows(report.rows), ["route", "n", "payload", "status"], args.format)
-    if report.unchecked:
-        print(f"error: no comparison made by {', '.join(report.unchecked)}", file=sys.stderr)
-    return 1 if report.mismatched else 2 if report.unchecked else 0
+    unchecked = report.unchecked if report.rows else (args.sections,)
+    if unchecked:
+        print(f"error: no comparison made by {', '.join(unchecked)}", file=sys.stderr)
+    return 1 if report.mismatched else 0 if report.passed else 2
 
 
 def build_parser() -> argparse.ArgumentParser:

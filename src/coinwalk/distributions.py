@@ -10,28 +10,30 @@ has fully explicit laws:
                       P(N = 2r-1)  = u_r u_{n+1-r} r/(n+1)
 
 where u_k = c_k / 4^k, c_k = C(2k, k), is the probability that the walk is
-back at the origin after 2k steps.  With K = ceil(m/2), both come from one
-weight list w_r = c_r c_{K-r}, r = 0..K: the law of 2n+1 tosses is the law
-of 2n+2 tosses with each atom at 2r split r : (n+1-r) between 2r-1 and 2r.
-`law` is the one builder: it forms the w_r by the ratio recurrence
-c_k = c_{k-1} 2(2k-1)/k and places them as integer counts over one
-denominator, 4^K or 4^K K.
+back at the origin after 2k steps.  With K = ceil(m/2), both come from the
+weights w_r = c_r c_{K-r}, r = 0..K: the law of 2n+1 tosses is the law of
+2n+2 tosses with each atom at 2r split r : (n+1-r) between 2r-1 and 2r.
+`law` is the one builder: it forms the w_r one at a time by their ratio
+recurrence (`_weights`) and writes each count straight into the numerator
+list of the law's PGF, over one denominator, 4^K or 4^K K.  The counts exist
+once, from that list to the writer that prints them.
 
 A :class:`Distribution` is stored as its PGF, one ``QPoly`` (integer
 numerators over one denominator), so ``pgf`` is free.  ``mass`` and ``cdf``
 read one integer view of it, ``_counts``: numerators padded to 0..m, and
-prefix-summed for the CDF.  Fractions appear only where ``mass``, ``cdf`` and
-``[j]`` hand them out.
+prefix-summed for the CDF as they are read.  Fractions appear only where
+``mass``, ``cdf`` and ``[j]`` hand them out.
 Distributions keep the full index range 0..m with explicit zeros at
 impossible parities, so cross-route comparisons are positional.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
-from typing import Sequence
+from itertools import accumulate, chain, repeat
+from typing import Iterator, Sequence
 
 from .errors import DomainError
 from .qpoly import QPoly
@@ -42,8 +44,9 @@ class Distribution:
     """Exact PMF of a count statistic over support 0..length.
 
     Held as its PGF `_pgf`; `length` keeps the trailing slots whose mass is
-    zero.  Build one with `from_counts`; every construction checks the law
-    on its integer numerators.
+    zero.  Build one from integer counts with `from_counts`, or, as `law`
+    does, from a PGF whose numerators are already the counts; every
+    construction checks the law on its integer numerators.
     """
 
     length: int
@@ -79,24 +82,39 @@ class Distribution:
 def law(m: int) -> Distribution:
     """Law of the positive-step count over m tosses, of either parity.
 
-    With K = ceil(m/2), one weight list w_r = c_r c_{K-r}, r = 0..K, serves
-    both parities: w_r at 2r over 4^K when m is even; w_r (K-r) at 2r and
-    w_r r at 2r-1 over 4^K K when m is odd.
+    With K = ceil(m/2), the weights w_r = c_r c_{K-r}, r = 0..K, serve both
+    parities: w_r at 2r over 4^K when m is even; w_r (K-r) at 2r and w_r r
+    at 2r-1 over 4^K K when m is odd.  Each count is written once, into the
+    list the law's PGF then owns.
     """
     if m < 0:
         raise DomainError(f"walk length must be non-negative, got {m}")
     k = (m + 1) // 2
-    c = [1]
-    for j in range(1, k + 1):
-        c.append(c[-1] * 2 * (2 * j - 1) // j)
-    w = [c[r] * c[k - r] for r in range(k + 1)]
     counts = [0] * (m + 1)
+    weights = enumerate(_weights(k))
     if m % 2 == 0:
-        counts[::2] = w
-        return Distribution.from_counts(counts, 4**k)
-    counts[::2] = [w[r] * (k - r) for r in range(k)]
-    counts[1::2] = [w[r] * r for r in range(1, k + 1)]
-    return Distribution.from_counts(counts, 4**k * k)
+        for r, w in weights:
+            counts[2 * r] = w
+        return Distribution(m, QPoly._make(counts, 4**k))
+    for r, w in weights:
+        if r:
+            counts[2 * r - 1] = w * r
+        if r < k:
+            counts[2 * r] = w * (k - r)
+    return Distribution(m, QPoly._make(counts, 4**k * k))
+
+
+def _weights(k: int) -> Iterator[int]:
+    """w_r = c_r c_{k-r}, r = 0..k, one at a time; only the current one is held.
+
+    w_0 = C(2k, k), and w_{r+1} / w_r = (c_{r+1} / c_r) (c_{k-r-1} / c_{k-r})
+    = (2r+1)(k-r) / ((r+1)(2k-2r-1)), so each step is exact integer division.
+    """
+    w = math.comb(2 * k, k)
+    for r in range(k):
+        yield w
+        w = w * (2 * r + 1) * (k - r) // ((r + 1) * (2 * k - 2 * r - 1))
+    yield w
 
 
 def pgf(dist: Distribution) -> QPoly:
@@ -110,14 +128,16 @@ def cdf(dist: Distribution) -> tuple[Fraction, ...]:
     return tuple(Fraction(s, den) for s in nums)
 
 
-def _counts(dist: Distribution, cumulative: bool = False) -> tuple[list[int], int]:
-    """(nums, den) over 0..length: P(N = j), or P(N <= j) if cumulative, is nums[j] / den.
+def _counts(dist: Distribution, cumulative: bool = False) -> tuple[Iterator[int], int]:
+    """(nums, den) over 0..length: P(N = j), or P(N <= j) if cumulative, is the j-th num / den.
 
     The law's integer view, for callers that format or sum without Fractions.
+    nums is an iterator read once: the prefix sums are formed as it is read,
+    so no second list of the law's size is ever held.
     """
     nums, den = dist._pgf.numerators
-    padded = [*nums, *(0,) * (dist.length + 1 - len(nums))]
-    return (list(accumulate(padded)) if cumulative else padded), den
+    padded = chain(nums, repeat(0, dist.length + 1 - len(nums)))
+    return (accumulate(padded) if cumulative else padded), den
 
 
 def conditional_positive(n: int, r: int) -> Fraction:

@@ -166,9 +166,11 @@ def _enumerate(n: int, rule: PositivityRule) -> WalkStats:
 
 @lru_cache(maxsize=1)
 def _bit_table() -> np.ndarray:
-    """Bits 0..15 of the ids 0.._BLOCK-1, one read-only uint8 row per step."""
-    ids = np.arange(_BLOCK, dtype="<u4").view(np.uint8).reshape(_BLOCK, 4)
-    table = np.unpackbits(ids, axis=1, count=16, bitorder="little").T.copy()
+    """Bits 0..15 of the ids 0.._BLOCK-1, one read-only uint8 row per step: row k is bit k."""
+    ids = np.arange(_BLOCK, dtype=np.uint16)
+    table = np.empty((16, _BLOCK), dtype=np.uint8)
+    for k, row in enumerate(table):
+        np.bitwise_and(ids >> k, 1, out=row, casting="unsafe")  # each bit fits a uint8
     table.flags.writeable = False
     return table
 

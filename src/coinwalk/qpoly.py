@@ -57,18 +57,26 @@ class QPoly:
         self._set([c.numerator * (den // c.denominator) for c in cs], den)
 
     def _set(self, nums: list[int], den: int) -> None:
-        """Store nums/den (den > 0) in canonical form."""
+        """Store nums/den (den > 0) in canonical form, trimming and reducing nums in place."""
         while nums and not nums[-1]:
             nums.pop()
         g = math.gcd(den, *nums) if nums else den
         if g != 1:
-            nums = [c // g for c in nums]
+            for i, c in enumerate(nums):
+                nums[i] = c // g
             den //= g
         self._nums = tuple(nums)
         self._den = den
 
     @classmethod
     def _make(cls, nums: list[int], den: int) -> "QPoly":
+        """The polynomial nums/den (den > 0), taking ownership of nums.
+
+        nums must be a fresh list that no one else holds: canonicalisation
+        pops its trailing zeros and divides it by the gcd in place, so a
+        large law is never held twice.  The QPoly keeps a tuple of it, and
+        stays immutable.
+        """
         out = cls.__new__(cls)
         out._set(nums, den)
         return out
@@ -166,8 +174,9 @@ class QPoly:
         return _add(other._nums, other._den, [-c for c in self._nums], self._den)
 
     def __mul__(self, other) -> "QPoly":
-        other = _coerce(other)
-        if other is None:
+        if isinstance(other, (int, Fraction)):
+            return self.scale(other)
+        if not isinstance(other, QPoly):
             return NotImplemented
         return QPoly.dot((self,), (other,))
 
@@ -196,6 +205,8 @@ class QPoly:
         return QPoly._make(out, den)
 
     def scale(self, s: Scalar) -> "QPoly":
+        if isinstance(s, int):
+            return QPoly._make([c * s for c in self._nums], self._den)
         s = Fraction(s)
         return QPoly._make([c * s.numerator for c in self._nums], self._den * s.denominator)
 

@@ -103,7 +103,8 @@ class VerifyReport:
 
     @property
     def passed(self) -> bool:
-        return not (self.mismatched or self.unchecked)
+        """True when rows were made and none mismatched or left a gating route unchecked."""
+        return bool(self.rows) and not (self.mismatched or self.unchecked)
 
 
 def _compare(route: str, n: int, got: QPoly, want: QPoly) -> ReportRow:

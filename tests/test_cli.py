@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 import coinwalk
 from coinwalk import cli
 from coinwalk.cli import _SERIES_BUILDERS, _dec, _exact, main
+from coinwalk.distributions import law
 from coinwalk.qpoly import QPoly
 from coinwalk.verify import QUARANTINED, SECTIONS, ReportRow, VerifyReport, run_verify
 
@@ -45,8 +47,6 @@ class TestDist:
         assert parse_csv(out) == [{"n": "0", "index": "0", "exact": "1", "decimal": "1"}]
 
     def test_four_tosses_match_formula(self, capsys):
-        from coinwalk.distributions import law
-
         _, out, _ = run(capsys, "dist", "--n", "4")
         rows = parse_csv(out)
         want = law(4).mass
@@ -57,6 +57,22 @@ class TestDist:
         rows = parse_csv(out)
         total = sum(F(r["exact"]) for r in rows)
         assert total == 1  # lossless num/den strings
+
+    def test_cumulative_law_is_held_once(self):
+        # the CDF is summed as it is written: no second list of the law's size
+        argv = ["dist", "--n", "2001", "--cumulative"]
+        with open(os.devnull, "w") as sink, redirect_stdout(sink):
+            assert main(argv) == 0  # warm-up: lazily built state is not the law's
+            tracemalloc.start()
+            try:
+                main(argv)
+                left, peak = tracemalloc.get_traced_memory()
+                dist = law(2001)
+                held = tracemalloc.get_traced_memory()[0] - left
+            finally:
+                tracemalloc.stop()
+        assert dist.length == 2001
+        assert peak <= 1.6 * held
 
     def test_json_format(self, capsys):
         _, out, _ = run(capsys, "dist", "--n", "2", "--format", "json")
@@ -269,6 +285,21 @@ class TestVerify:
         assert out.splitlines()[-1] == "verify: FAIL (5 checks)"
         assert err == "error: no comparison made by cond\n"
 
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    def test_section_without_rows(self, capsys, fmt):
+        # cond starts at n = 1: at --max-n 0 it makes no row, which is no PASS
+        code, out, err = run(capsys, "verify", "--sections", "cond", "--max-n", "0",
+                             "--format", fmt)
+        assert code == 2
+        header = "route,n,payload,status\r\n"
+        assert out == ("verify: FAIL (0 checks)\n" if fmt == "text" else header)
+        assert err == "error: no comparison made by cond\n"
+
+    def test_smallest_full_run_passes(self, capsys):
+        code, out, err = run(capsys, "verify", "--sections", "all", "--max-n", "1")
+        assert code == 0 and err == ""
+        assert out.splitlines()[-1].startswith("verify: PASS (")
+
     def test_even_section_small(self, capsys):
         code, out, _ = run(capsys, "verify", "--sections", "even", "--max-n", "10", "--order", "12")
         assert code == 0
@@ -452,6 +483,23 @@ class TestClosedStdout:
         with open(write_end, "w") as closed:
             monkeypatch.setattr(sys, "stdout", closed)
             assert main(["verify", "--format", "json"]) == 1
+
+
+class TestPythonDashM:
+    def test_runs_the_command_line(self, capsys):
+        proc = subprocess.run([sys.executable, "-m", "coinwalk", "dist", "--n", "3"],
+                              capture_output=True, env=_coinwalk_env(), timeout=60)
+        code, out, _ = run(capsys, "dist", "--n", "3")
+        assert proc.returncode == code == 0
+        assert proc.stdout == out.encode() and proc.stderr == b""
+
+    def test_usage_error_exits_2(self):
+        proc = subprocess.run([sys.executable, "-m", "coinwalk", "dist", "--n", "-1"],
+                              capture_output=True, text=True, env=_coinwalk_env(), timeout=60)
+        assert proc.returncode == 2
+        assert proc.stdout == "" and "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines()[-1] == (
+            "coinwalk dist: error: argument --n: must be non-negative")
 
 
 def _grid():

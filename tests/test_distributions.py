@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from itertools import accumulate
 from math import comb
@@ -7,6 +8,7 @@ import pytest
 from coinwalk.distributions import (
     Distribution,
     _counts,
+    _weights,
     cdf,
     conditional_positive,
     law,
@@ -137,6 +139,25 @@ class TestLaw:
         with pytest.raises(DomainError):
             law(m)
 
+    @pytest.mark.parametrize("k", [*range(40), 500])
+    def test_weights_are_the_products_of_central_binomials(self, k):
+        assert list(_weights(k)) == [comb(2 * r, r) * comb(2 * k - 2 * r, k - r)
+                                     for r in range(k + 1)]
+
+    @pytest.mark.parametrize("m", [2000, 2001])
+    def test_counts_are_held_once_while_built(self, m):
+        # the counts go straight into the PGF's list and are reduced there:
+        # no weight list, no defensive copy, no reduced copy beside them
+        law(m)  # warm any lazily built state outside the measurement
+        tracemalloc.start()
+        try:
+            dist = law(m)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert dist.length == m
+        assert peak <= 1.5 * held
+
 
 def printed_law(m):
     """P(N_m = j), j = 0..m, straight from the printed formula in u_k = C(2k, k) / 4^k."""
@@ -211,6 +232,7 @@ class TestCounts:
     def test_mass_and_cdf_are_the_counts(self, dist):
         nums, den = _counts(dist)
         sums, sums_den = _counts(dist, cumulative=True)
+        nums, sums = list(nums), list(sums)  # each is read once, as the writer reads it
         assert sums_den == den and len(nums) == len(sums) == dist.length + 1
         assert all(type(c) is int for c in nums + sums)
         assert sums == list(accumulate(nums)) and sums[-1] == den
@@ -220,6 +242,7 @@ class TestCounts:
 
     def test_padded_slots(self):
         d = Distribution(2, QPoly((1,)))
-        assert _counts(d) == ([1, 0, 0], 1)
-        assert _counts(d, cumulative=True) == ([1, 1, 1], 1)
+        for cumulative, want in ((False, [1, 0, 0]), (True, [1, 1, 1])):
+            nums, den = _counts(d, cumulative)
+            assert (list(nums), den) == (want, 1)
         assert d.mass == (F(1), F(0), F(0)) and cdf(d) == (F(1),) * 3

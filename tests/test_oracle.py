@@ -121,6 +121,13 @@ class TestCountingKernel:
         assert len(calls) == max(1, 2**n // oracle._BLOCK)
         assert cf.rule is CF and nn.rule is NN
 
+    def test_bit_table_matches_plain_bits(self):
+        table = oracle._bit_table()
+        want = bytes((i >> k) & 1 for k in range(16) for i in range(oracle._BLOCK))
+        assert table.shape == (16, oracle._BLOCK) and table.dtype == np.uint8
+        assert table.tobytes() == want
+        assert not table.flags.writeable
+
 
 class TestEnumerate:
     def test_three_steps(self):

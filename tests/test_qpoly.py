@@ -211,6 +211,28 @@ class TestIntegerKernel:
         assert_canonical(a.scale(s))
         assert ref(a.scale(s)) == ref_trim([c * s for c in ref(a)])
 
+    @given(wide_polys, st.one_of(st.integers(-720, 720), wide_fractions))
+    def test_scalar_product_is_scale(self, a, s):
+        # an int or Fraction operand scales; storage is canonical, so equal to the dot product
+        want = QPoly.dot((a,), (QPoly((s,)),))
+        for got in (a * s, s * a, a.scale(s)):
+            assert_canonical(got)
+            assert got.numerators == want.numerators
+
+    def test_make_reduces_its_own_list(self):
+        p = QPoly._make([6, -4, 0, 2, 0, 0], 10)
+        assert p.numerators == ((3, -2, 0, 1), 5)
+        assert p == QPoly((F(3, 5), F(-2, 5), 0, F(1, 5)))
+
+    @given(st.lists(st.integers(-10**6, 10**6), max_size=9), st.integers(1, 10**6),
+           st.integers(1, 60))
+    def test_make_is_canonical(self, nums, den, g):
+        # a common factor g, so the gcd is rarely 1
+        nums, den = [c * g for c in nums], den * g
+        p = QPoly._make(list(nums), den)
+        assert_canonical(p)
+        assert p.numerators == QPoly(F(c, den) for c in nums).numerators
+
     @given(wide_polys, st.integers(0, 5))
     def test_shift(self, a, k):
         assert_canonical(a.shift(k))

@@ -65,6 +65,12 @@ class TestReportMechanics:
         assert report.unchecked == ("oracle",)
         assert not report.passed and not report.mismatched
 
+    def test_report_without_rows_fails(self):
+        # nothing compared is not a PASS, though no route has rows to name
+        report = VerifyReport(())
+        assert not report.passed
+        assert report.unchecked == () and not report.mismatched
+
     def test_quarantined_skips_are_not_unchecked(self):
         rows = (ReportRow("dp", 1, NONE, 0, "ok"), ReportRow("csaki", 30, NONE, 0, "skipped:cap"))
         assert VerifyReport(rows).passed
@@ -197,6 +203,11 @@ class TestRunVerify:
     def test_cond_section_uses_max_n_directly(self):
         report = run_verify(max_n=5, sections="cond")
         assert [r.n for r in report.rows] == [1, 2, 3, 4, 5]
+
+    def test_section_without_rows_fails(self):
+        assert run_verify(max_n=0, sections="cond").rows == ()
+        assert not run_verify(max_n=0, sections="cond").passed
+        assert run_verify(max_n=1).passed
 
     def test_strict_csaki_passes_because_form_agrees(self):
         report = run_verify(max_n=8, order=10, sections="csaki", strict_csaki=True)
