@@ -208,7 +208,8 @@ class QPoly:
         if isinstance(s, int):
             return QPoly._make([c * s for c in self._nums], self._den)
         s = Fraction(s)
-        return QPoly._make([c * s.numerator for c in self._nums], self._den * s.denominator)
+        num = s.numerator
+        return QPoly._make([c * num for c in self._nums], self._den * s.denominator)
 
     def shift(self, k: int) -> "QPoly":
         """Multiply by q^k."""

@@ -219,11 +219,6 @@ class TestIntegerKernel:
             assert_canonical(got)
             assert got.numerators == want.numerators
 
-    def test_make_reduces_its_own_list(self):
-        p = QPoly._make([6, -4, 0, 2, 0, 0], 10)
-        assert p.numerators == ((3, -2, 0, 1), 5)
-        assert p == QPoly((F(3, 5), F(-2, 5), 0, F(1, 5)))
-
     @given(st.lists(st.integers(-10**6, 10**6), max_size=9), st.integers(1, 10**6),
            st.integers(1, 60))
     def test_make_is_canonical(self, nums, den, g):

@@ -205,8 +205,8 @@ class TestRunVerify:
         assert [r.n for r in report.rows] == [1, 2, 3, 4, 5]
 
     def test_section_without_rows_fails(self):
-        assert run_verify(max_n=0, sections="cond").rows == ()
-        assert not run_verify(max_n=0, sections="cond").passed
+        report = run_verify(max_n=0, sections="cond")  # cond starts at n = 1
+        assert report.rows == () and not report.passed
         assert run_verify(max_n=1).passed
 
     def test_strict_csaki_passes_because_form_agrees(self):
