@@ -267,6 +267,11 @@ def build_parser() -> argparse.ArgumentParser:
     def add_format(p, choices=("csv", "json"), default="csv"):
         p.add_argument("--format", choices=choices, default=default)
 
+    def add_cap(p, what):
+        p.add_argument("--cap", type=_nonneg, default=DEFAULT_CAP,
+                       help=f"{what}; enumerating n tosses evaluates all 2^n paths, and the "
+                            "cap is the only limit on n (default %(default)s)")
+
     p = sub.add_parser("dist", help="exact law of the positive-step count")
     p.add_argument("--n", type=_nonneg, required=True, help="number of tosses")
     p.add_argument("--cumulative", action="store_true", help="emit the CDF instead")
@@ -276,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pgf", help="probability generating function of the count")
     p.add_argument("--n", type=_nonneg, required=True)
     p.add_argument("--method", choices=("closed", "dp", "series", "oracle"), default="closed")
-    p.add_argument("--cap", type=_nonneg, default=DEFAULT_CAP)
+    add_cap(p, "largest --n that --method oracle enumerates")
     add_format(p, choices=("text", "csv", "json"), default="text")
     p.set_defaults(func=cmd_pgf)
 
@@ -289,13 +294,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="law by exhaustive enumeration")
     p.add_argument("--n", type=_nonneg, required=True)
     p.add_argument("--rule", choices=sorted(_RULES), default="cf")
-    p.add_argument("--cap", type=_nonneg, default=DEFAULT_CAP)
+    add_cap(p, "largest --n enumerated")
     add_format(p)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("conditional", help="enumerated vs formula conditional probabilities")
     p.add_argument("--n", type=_positive, required=True, help="half the walk length")
-    p.add_argument("--cap", type=_nonneg, default=DEFAULT_CAP)
+    add_cap(p, "longest walk (2 --n tosses) enumerated")
     add_format(p)
     p.set_defaults(func=cmd_conditional)
 
@@ -307,11 +312,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_lagrange)
 
     p = sub.add_parser("simulate", help="seeded Monte Carlo histogram")
-    p.add_argument("--m", type=_nonneg, required=True)
+    p.add_argument("--m", type=_nonneg, required=True,
+                   help="walk length; a run takes m x samples steps, and only the memory "
+                        "of its m + 2 slot histogram limits m")
     p.add_argument("--samples", type=_positive, required=True)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--rule", choices=sorted(_RULES), default="cf")
-    p.add_argument("--cap", type=_nonneg, default=DEFAULT_CAP)
+    p.add_argument("--cap", type=_nonneg, default=DEFAULT_CAP,
+                   help="the tv distance to the exact law is printed only when m <= cap "
+                        "(default %(default)s)")
     add_format(p)
     p.set_defaults(func=cmd_simulate)
 
@@ -319,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=_nonneg, default=12)
     p.add_argument("--order", type=_positive, default=32)
     p.add_argument("--sections", choices=SECTIONS, default="all")
-    p.add_argument("--cap", type=_nonneg, default=DEFAULT_CAP)
+    add_cap(p, "longest walk enumerated; rows past it are skipped:cap")
     p.add_argument("--strict-csaki", action="store_true",
                    help="let the csaki check affect the exit code")
     add_format(p, choices=("text", "csv", "json"), default="text")

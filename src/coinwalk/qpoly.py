@@ -7,11 +7,14 @@ canonical form: no trailing zeros (so the zero polynomial has degree -1) and
 gcd(denominator, numerators) = 1.  Every law here is a path count over 2^m,
 so the denominators stay small and shared, and each operation is integer
 arithmetic plus one gcd reduction of its result; ``coeffs`` hands out
-Fractions only at the boundary.  Division is integer long division that
-rescales by the divisor's leading coefficient only when a leading term is not
-a multiple of it: never for the divisors q+1, 1-q^2, 1+q+q^2+q^3 with lead
-+-1, often for the constants 2 and -16 the series routes divide by.  It is
-exact-or-loud: a nonzero remainder raises
+Fractions only at the boundary.  ``+``, ``-`` and ``==`` take QPolys only
+(a QPoly never equals a scalar); an int or Fraction only multiplies, as a
+one-pass ``scale``.  A sum or difference brings both numerator lists to the
+lcm denominator inside its one summing pass.  Division is integer long
+division that rescales by the divisor's leading coefficient only when a
+leading term is not a multiple of it: never for the divisors q+1, 1-q^2,
+1+q+q^2+q^3 with lead +-1, often for the constants 2 and -16 the series
+routes divide by.  It is exact-or-loud: a nonzero remainder raises
 :class:`~coinwalk.errors.InexactDivision` instead of being discarded, because
 every division performed here encodes an identity that is supposed to hold
 exactly.
@@ -21,7 +24,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 from .errors import DomainError, InexactDivision
 
@@ -31,13 +34,12 @@ Scalar = Union[int, Fraction]
 def binomial(n: int, k: int) -> int:
     """Binomial coefficient C(n, k) as an exact integer.
 
-    Total on purpose: returns 0 for k > n so convolution loops need no bounds
-    checks.  Negative arguments are a usage error.
+    Total on purpose: returns 0 for k > n (as ``math.comb`` does) so
+    convolution loops need no bounds checks.  Negative arguments are a usage
+    error.
     """
     if n < 0 or k < 0:
         raise DomainError(f"binomial needs non-negative arguments, got ({n}, {k})")
-    if k > n:
-        return 0
     return math.comb(n, k)
 
 
@@ -137,41 +139,27 @@ class QPoly:
         return bool(self._nums)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, QPoly):
-            return self._den == other._den and self._nums == other._nums
-        if isinstance(other, (int, Fraction)):
-            return self == QPoly((other,))
-        return NotImplemented
+        if not isinstance(other, QPoly):
+            return NotImplemented
+        return self._den == other._den and self._nums == other._nums
 
     def __hash__(self):
-        if len(self._nums) <= 1:  # equal to a scalar, so hashed like it
-            return hash(Fraction(self._nums[0], self._den) if self._nums else 0)
         return hash((self._nums, self._den))
 
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other) -> "QPoly":
-        other = _coerce(other)
-        if other is None:
+        if not isinstance(other, QPoly):
             return NotImplemented
-        return _add(self._nums, self._den, other._nums, other._den)
-
-    __radd__ = __add__
+        return _add(self, other, 1)
 
     def __neg__(self) -> "QPoly":
         return QPoly._make([-c for c in self._nums], self._den)
 
     def __sub__(self, other) -> "QPoly":
-        other = _coerce(other)
-        if other is None:
+        if not isinstance(other, QPoly):
             return NotImplemented
-        return _add(self._nums, self._den, [-c for c in other._nums], other._den)
-
-    def __rsub__(self, other) -> "QPoly":
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return _add(other._nums, other._den, [-c for c in self._nums], self._den)
+        return _add(self, other, -1)
 
     def __mul__(self, other) -> "QPoly":
         if isinstance(other, (int, Fraction)):
@@ -292,29 +280,17 @@ class QPoly:
         return f"QPoly({list(self.coeffs)!r})"
 
 
-def _add(a: Sequence[int], a_den: int, b: Sequence[int], b_den: int) -> QPoly:
-    """a/a_den + b/b_den over the least common denominator."""
-    if a_den != b_den:
-        g = math.gcd(a_den, b_den)
-        a = [x * (b_den // g) for x in a]
-        b = [x * (a_den // g) for x in b]
-        a_den *= b_den // g
-    if len(a) < len(b):
-        a, b = b, a
-    out = [x + y for x, y in zip(a, b)]
-    out += a[len(b):]
-    return QPoly._make(out, a_den)
+def _add(x: QPoly, y: QPoly, sign: int) -> QPoly:
+    """x + sign * y for sign +-1, rescaled to the lcm denominator in the summing pass."""
+    a, b = x._nums, y._nums
+    g = math.gcd(x._den, y._den)
+    fa, fb = y._den // g, sign * (x._den // g)
+    out = [fa * p + fb * r for p, r in zip(a, b)]
+    out += [fa * p for p in a[len(b):]] if len(a) > len(b) else [fb * r for r in b[len(a):]]
+    return QPoly._make(out, x._den * fa)
 
 
-def _coerce(value) -> QPoly | None:
-    if isinstance(value, QPoly):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return QPoly((value,))
-    return None
-
-
-def format_poly(poly: QPoly, var: str = "q") -> str:
+def format_poly(poly: QPoly) -> str:
     """Render like '3/8 + 1/8 q + 1/8 q^2 + 3/8 q^3' (zero terms skipped)."""
     if poly.is_zero():
         return "0"
@@ -326,7 +302,7 @@ def format_poly(poly: QPoly, var: str = "q") -> str:
         if i == 0:
             body = str(mag)
         else:
-            pw = var if i == 1 else f"{var}^{i}"
+            pw = "q" if i == 1 else f"q^{i}"
             body = pw if mag == 1 else f"{mag} {pw}"
         if not parts:
             parts.append(body if c > 0 else f"-{body}")

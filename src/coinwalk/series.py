@@ -1,10 +1,12 @@
 """Truncated bivariate formal power series over exact rationals.
 
-A :class:`BivariateSeries` of order Z keeps the coefficients of z^0..z^{Z-1},
-each a :class:`~coinwalk.qpoly.QPoly` in the marking variable q.  Arithmetic
-is exact; results carry the minimum order of the operands, and truncation is
-always explicit (no lazy streams), so every computation has a reproducible
-cost and an auditable precision.
+A :class:`BivariateSeries` is built from its coefficients alone,
+``BivariateSeries(coeffs)``: those of z^0..z^{Z-1}, each a
+:class:`~coinwalk.qpoly.QPoly` in the marking variable q, and its order Z is
+``len(coeffs)`` (at least 1).  Arithmetic is exact; results carry the
+minimum order of the operands, and truncation is always explicit (no lazy
+streams), so every computation has a reproducible cost and an auditable
+precision.
 
 Division is the classic series recurrence: one exact q-polynomial division
 per output coefficient by the denominator's z^0 coefficient, which must be
@@ -64,16 +66,17 @@ def _as_poly(c: _PolyLike) -> QPoly:
 
 @dataclass(frozen=True)
 class BivariateSeries:
-    """Truncated series in z with QPoly coefficients; exactly `order` slots."""
+    """Truncated series in z with QPoly coefficients; its order is len(coeffs)."""
 
-    order: int
     coeffs: tuple[QPoly, ...]
 
     def __post_init__(self):
-        if self.order < 1:
+        if not self.coeffs:
             raise DomainError("order must be at least 1")
-        if len(self.coeffs) != self.order:
-            raise DomainError("coefficient count must equal order")
+
+    @property
+    def order(self) -> int:
+        return len(self.coeffs)
 
     # -- constructors ---------------------------------------------------
 
@@ -86,7 +89,7 @@ class BivariateSeries:
                 raise DomainError("negative z-power")
             if k < order:
                 cs[k] = _as_poly(c)
-        return cls(order, tuple(cs))
+        return cls(tuple(cs))
 
     @classmethod
     def one(cls, order: int) -> "BivariateSeries":
@@ -102,42 +105,39 @@ class BivariateSeries:
     def truncate(self, order: int) -> "BivariateSeries":
         if order > self.order:
             raise DomainError(f"cannot extend order {self.order} to {order}")
-        return BivariateSeries(order, self.coeffs[:order])
+        if order < 1:  # a negative slice bound would count from the end
+            raise DomainError("order must be at least 1")
+        return BivariateSeries(self.coeffs[:order])
 
     # -- linear arithmetic ------------------------------------------------
 
     def __add__(self, other: "BivariateSeries") -> "BivariateSeries":
-        z = min(self.order, other.order)
-        return BivariateSeries(z, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return BivariateSeries(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "BivariateSeries") -> "BivariateSeries":
-        z = min(self.order, other.order)
-        return BivariateSeries(z, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "BivariateSeries":
-        return BivariateSeries(self.order, tuple(-c for c in self.coeffs))
+        return BivariateSeries(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
     def scale(self, c: _PolyLike) -> "BivariateSeries":
         """Multiply every coefficient by a fixed q-polynomial or scalar."""
         p = _as_poly(c)
-        return BivariateSeries(self.order, tuple(a * p for a in self.coeffs))
+        return BivariateSeries(tuple(a * p for a in self.coeffs))
 
     def shift_up(self, k: int) -> "BivariateSeries":
         """Multiply by z^k; the low coefficients are known zeros, so order grows."""
-        return BivariateSeries(self.order + k, (QPoly.zero(),) * k + self.coeffs)
+        return BivariateSeries((QPoly.zero(),) * k + self.coeffs)
 
     def shift_down(self, k: int) -> "BivariateSeries":
         """Divide by z^k; requires valuation >= k."""
         if any(self.coeffs[i] for i in range(min(k, self.order))):
             raise ValuationError(f"valuation below {k}; cannot divide by z^{k}")
-        return BivariateSeries(self.order - k, self.coeffs[k:])
+        return BivariateSeries(self.coeffs[k:])
 
     # -- multiplicative arithmetic ---------------------------------------
 
     def __mul__(self, other: "BivariateSeries") -> "BivariateSeries":
         z = min(self.order, other.order)
         a, b = self.coeffs, other.coeffs
-        return BivariateSeries(z, tuple(QPoly.dot(a[: n + 1], b[n::-1]) for n in range(z)))
+        return BivariateSeries(tuple(QPoly.dot(a[: n + 1], b[n::-1]) for n in range(z)))
 
     def __truediv__(self, den: "BivariateSeries") -> "BivariateSeries":
         """Series quotient with quotient * den = num up to truncation.
@@ -153,7 +153,7 @@ class BivariateSeries:
         for n in range(z):
             acc = self.coeffs[n] - QPoly.dot(out, den.coeffs[n:0:-1])
             out.append(acc.divide_exact(lead))
-        return BivariateSeries(z, tuple(out))
+        return BivariateSeries(tuple(out))
 
     def reciprocal(self) -> "BivariateSeries":
         return BivariateSeries.one(self.order) / self
@@ -166,13 +166,7 @@ class BivariateSeries:
         for n in range(1, self.order):
             acc = self.coeffs[n] - QPoly.dot(out[1:], out[n - 1 : 0 : -1])
             out.append(acc.scale(Fraction(1, 2)))
-        return BivariateSeries(self.order, tuple(out))
-
-    # -- formatting ---------------------------------------------------------
-
-    def __str__(self) -> str:
-        rows = [f"z^{n}: {c}" for n, c in enumerate(self.coeffs)]
-        return "\n".join(rows)
+        return BivariateSeries(tuple(out))
 
 
 # -- named expansions -------------------------------------------------------
@@ -184,7 +178,7 @@ def _sqrt_one_minus_z2(order: int) -> BivariateSeries:
 
 def _at_qz(s: BivariateSeries) -> BivariateSeries:
     """s evaluated at qz: the z^n coefficient times q^n."""
-    return BivariateSeries(s.order, tuple(c.shift(n) for n, c in enumerate(s.coeffs)))
+    return BivariateSeries(tuple(c.shift(n) for n, c in enumerate(s.coeffs)))
 
 
 def pgf_series_even(order: int) -> BivariateSeries:

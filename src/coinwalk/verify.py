@@ -178,9 +178,9 @@ def _check_ratio_form(order: int, dp_table: list[QPoly]) -> ReportRow:
 
 def _check_csaki(max_n: int, order: int, cap: int) -> list[ReportRow]:
     rows = []
-    # built only as far as a compared row reads: n <= min(max_n, order - 1, cap)
-    series = nonneg_series(min(order, max_n + 1, cap + 1))
-    for n in range(min(max_n, order - 1) + 1):
+    # built only as far as a compared row reads: n <= min(order - 1, cap)
+    series = nonneg_series(min(order, cap + 1))
+    for n in range(order):
         if n > cap:
             rows.append(_skipped("csaki", n))
             continue
@@ -225,7 +225,8 @@ def run_verify(max_n: int = 12, order: int = 32, sections: str = "all",
     if sections not in SECTIONS:
         raise DomainError(f"unknown section {sections!r}; choose from {SECTIONS}")
     rows: list[ReportRow] = []
-    # built once, only as far as a compared row reads
+    # every series is built once, only as far as a compared row reads: z^max_n
+    order = min(order, max_n + 1)
     legendre_table = (legendre_pgf_table(max_n // 2 if sections == "even" else max_n)
                       if sections in ("all", "even", "legendre") else None)
     if sections in ("all", "even", "odd"):

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import pytest
 
 import coinwalk
@@ -24,6 +27,13 @@ class TestPublicSurface:
         assert set(coinwalk.__all__) <= namespace.keys()
 
 
+@pytest.mark.parametrize("path", sorted(Path(coinwalk.__file__).parent.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_source_parses_at_the_python_floor(path):
+    # pyproject.toml declares requires-python >= 3.10.7: no syntax newer than 3.10
+    ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
 @pytest.mark.parametrize("call", [
     lambda: QPoly.q().shift(-1),  # was q
     lambda: QPoly.one().shift(-2),
@@ -38,14 +48,15 @@ class TestPublicSurface:
     lambda: binomial(-1, 0),  # was a plain ValueError, as were the four below
     lambda: SimConfig(m=-1, samples=1, seed=0),
     lambda: SimConfig(m=4, samples=0, seed=0),
-    lambda: BivariateSeries(0, ()),
+    lambda: BivariateSeries(()),
     lambda: run_verify(sections="nope"),
+    lambda: BivariateSeries.one(5).truncate(-1),  # not a slice from the end
     lambda: SimConfig(m=2**60, samples=1, seed=0),  # its histogram cannot be allocated
     lambda: enumerate_walks(10**12, PositivityRule.CHUNG_FELLER, cap=2 * 10**12),  # nor its tally
 ], ids=["shift-q", "shift-one", "shift-zero", "monomial", "monomial-coeff",
         "legendre", "lagrange_series", "legendre_pgf_table", "enumerate_walks",
         "oracle_conditional", "binomial", "simconfig-m", "simconfig-samples", "series-order",
-        "verify-sections", "simconfig-huge-m", "enumerate-huge-n"])
+        "verify-sections", "series-truncate", "simconfig-huge-m", "enumerate-huge-n"])
 def test_negative_exponent_or_size_is_a_domain_error(call):
     with pytest.raises(DomainError):
         call()

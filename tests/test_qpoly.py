@@ -60,11 +60,24 @@ class TestQPoly:
         assert QPoly((0, 0, 3)).degree == 2
 
     @pytest.mark.parametrize("scalar", [0, 1, F(1, 2)])
-    def test_hash_agrees_with_scalar_equality(self, scalar):
+    def test_equal_constants_hash_equal(self, scalar):
+        # a constant is a QPoly like any other: equal to the QPolys of its value only
         p = QPoly((scalar,))
-        assert p == scalar and hash(p) == hash(scalar)
-        assert len({p, scalar}) == 1 and scalar in {p} and p in {scalar}
-        assert {p: "poly"}[scalar] == "poly" and {scalar: "scalar"}[p] == "scalar"
+        routes = (QPoly.monomial(0, scalar), QPoly((scalar, 0)), QPoly.one().scale(scalar),
+                  (p + p).scale(F(1, 2)), QPoly((scalar, 1)) - QPoly.q())
+        assert all(r == p and hash(r) == hash(p) for r in routes)
+        assert len({p, *routes}) == 1 and {p: "poly"}[routes[-1]] == "poly"
+        assert p != scalar and scalar not in {p}
+
+    def test_scalars_only_multiply(self):
+        with pytest.raises(TypeError):
+            QPoly((1,)) + 1
+        with pytest.raises(TypeError):
+            1 - QPoly((1,))
+        assert QPoly((1,)) != 1 and 1 != QPoly((1,))
+        p = QPoly((F(1, 2), 0, 3))
+        assert p * 2 == 2 * p == p + p
+        assert p * F(2, 3) == F(2, 3) * p == p.scale(F(2, 3))
 
     def test_coeff_beyond_degree(self):
         p = QPoly((1, 2))
@@ -96,7 +109,7 @@ class TestQPoly:
         assert str(QPoly((F(3, 8), F(1, 8), F(1, 8), F(3, 8)))) == "3/8 + 1/8 q + 1/8 q^2 + 3/8 q^3"
         assert str(QPoly()) == "0"
         assert str(QPoly((0, -1, 1))) == "-q + q^2"
-        assert format_poly(QPoly((0, 0, F(-3, 2))), var="x") == "-3/2 x^2"
+        assert format_poly(QPoly((0, 0, F(-3, 2)))) == "-3/2 q^2"
 
     @given(small_polys, small_polys, small_polys)
     def test_ring_axioms(self, a, b, c):

@@ -72,7 +72,7 @@ class TestDivision:
 
     def test_zero_denominator(self):
         with pytest.raises(ValuationError):
-            S({0: 1}, 4) / BivariateSeries(4, (QPoly(),) * 4)
+            S({0: 1}, 4) / BivariateSeries((QPoly(),) * 4)
 
     def test_inexact_q_division_surfaces(self):
         one = BivariateSeries.one(4)
@@ -101,8 +101,8 @@ class TestDivision:
     )
     def test_roundtrip_property(self, a_coeffs, b_tail, b_lead):
         # divisor with a nonzero rational constant term always inverts exactly
-        a = BivariateSeries(5, tuple(a_coeffs))
-        b = BivariateSeries(5, (QPoly((b_lead,)),) + tuple(b_tail))
+        a = BivariateSeries(tuple(a_coeffs))
+        b = BivariateSeries((QPoly((b_lead,)),) + tuple(b_tail))
         assert (a * b) / b == a
 
 
@@ -111,11 +111,11 @@ class TestSqrt:
         # sqrt(1 - z^2) = sum_k C(1/2, k) (-1)^k z^{2k}
         root = S({0: 1, 2: -1}, 12).sqrt()
         for k in range(6):
-            assert root.coeff(2 * k) == half_binomial(k) * (-1) ** k
+            assert root.coeff(2 * k) == QPoly((half_binomial(k) * (-1) ** k,))
             assert root.coeff(2 * k + 1) == QPoly.zero()
-        assert root.coeff(2) == F(-1, 2)
-        assert root.coeff(4) == F(-1, 8)
-        assert root.coeff(6) == F(-1, 16)
+        assert root.coeff(2) == QPoly((F(-1, 2),))
+        assert root.coeff(4) == QPoly((F(-1, 8),))
+        assert root.coeff(6) == QPoly((F(-1, 16),))
 
     def test_substituted_variant(self):
         # sqrt(1 - q^2 z^2): same scalars times q^{2k}
@@ -141,7 +141,7 @@ coeff_polys = st.lists(
 
 def series_of(order):
     return st.lists(coeff_polys, min_size=order, max_size=order).map(
-        lambda cs: BivariateSeries(order, tuple(cs))
+        lambda cs: BivariateSeries(tuple(cs))
     )
 
 
@@ -152,7 +152,7 @@ def naive_product(a, b):
     for i in range(z):
         for j in range(z - i):
             out[i + j] = out[i + j] + a.coeffs[i] * b.coeffs[j]
-    return BivariateSeries(z, tuple(out))
+    return BivariateSeries(tuple(out))
 
 
 class TestProperties:
@@ -172,7 +172,7 @@ class TestProperties:
     @given(series_of(6))
     def test_sqrt_squares_back(self, s):
         # force an admissible constant term, keep the rest arbitrary
-        s = BivariateSeries(6, (QPoly.one(),) + s.coeffs[1:])
+        s = BivariateSeries((QPoly.one(),) + s.coeffs[1:])
         root = s.sqrt()
         assert root * root == s
         assert root.coeff(0) == QPoly.one()

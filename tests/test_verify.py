@@ -9,7 +9,14 @@ from coinwalk.lattice import dp_pgf_table
 from coinwalk.legendre import legendre, legendre_pgf_table
 from coinwalk.oracle import WalkStats
 from coinwalk.qpoly import QPoly
-from coinwalk.series import BivariateSeries, nonneg_series, pgf_series, pgf_series_ratio
+from coinwalk.series import (
+    BivariateSeries,
+    nonneg_series,
+    pgf_series,
+    pgf_series_even,
+    pgf_series_odd_ratio,
+    pgf_series_ratio,
+)
 from coinwalk.verify import (
     SECTIONS,
     ReportRow,
@@ -123,7 +130,7 @@ class TestRatioFormRow:
         table = dp_pgf_table(3)
         coeffs = (*table[:2], bad, table[3])
         monkeypatch.setattr("coinwalk.verify.pgf_series_ratio",
-                            lambda order: BivariateSeries(order, coeffs[:order]))
+                            lambda order: BivariateSeries(coeffs[:order]))
         row = _check_ratio_form(4, table)
         assert row == ReportRow("ratio-form", 2, bad, 3, "mismatch@2")
         assert payload(row) == text
@@ -132,7 +139,7 @@ class TestRatioFormRow:
         table = dp_pgf_table(2)
         coeffs = (*table, QPoly((1,)))
         monkeypatch.setattr("coinwalk.verify.pgf_series_ratio",
-                            lambda order: BivariateSeries(order, coeffs[:order]))
+                            lambda order: BivariateSeries(coeffs[:order]))
         row = _check_ratio_form(4, table)
         assert row == ReportRow("ratio-form", 3, NONE, 0, "ok")
         assert payload(row) == ""
@@ -162,7 +169,7 @@ class TestLazyRatioForm:
             cs = list(pgf_series(order).coeffs)
             if bad_at is not None and bad_at < order:
                 cs[bad_at] += QPoly((F(1, 3),))
-            return BivariateSeries(order, tuple(cs))
+            return BivariateSeries(tuple(cs))
 
         orders = []
         monkeypatch.setattr("coinwalk.verify.pgf_series_ratio",
@@ -266,6 +273,25 @@ class TestRunVerify:
         # the explicit sum is built by the Lagrange rows only: three pairs, min(max_n, 20) + 1 each
         lagrange_rows = sections in ("all", "legendre")
         assert len(calls) == (3 * (min(max_n, 20) + 1) if lagrange_rows else 0)
+
+    @pytest.mark.parametrize("sections", SECTIONS)
+    def test_series_built_only_as_far_as_compared(self, monkeypatch, sections):
+        built = {"even": [], "odd-ratio": []}
+
+        def recorded(name, build):
+            return lambda order: built[name].append(order) or build(order)
+
+        monkeypatch.setattr("coinwalk.verify.pgf_series_even",
+                            recorded("even", pgf_series_even))
+        monkeypatch.setattr("coinwalk.verify.pgf_series_odd_ratio",
+                            recorded("odd-ratio", pgf_series_odd_ratio))
+        report = run_verify(max_n=12, order=32, sections=sections)
+        # no row reads past z^12, so order 32 is cut to 13; the odd part needs one more
+        parity = sections in ("all", "even", "odd")
+        assert built == {"even": [14] if parity else [],
+                         "odd-ratio": [13] if sections in ("all", "odd") else []}
+        compared = {"all": range(13), "even": range(0, 13, 2), "odd": range(1, 13, 2)}
+        assert {r.n for r in rows_by_route(report, "series")} == set(compared.get(sections, ()))
 
 
 class TestCsakiExpansion:
