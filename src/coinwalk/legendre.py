@@ -1,17 +1,18 @@
 """Legendre-polynomial identities for the walk PGFs.
 
-The even-length PGF (the z^{2n} series coefficient) is both the closed law
-`pgf(law(2n))` of `coinwalk.distributions` and a scaled Legendre evaluation:
+The even-length PGF E_n = pgf(law(2n)) (the z^{2n} series coefficient) is a
+scaled Legendre evaluation:
 
-    pgf(law(2n)) = sum_k u_k u_{n-k} q^{2k},   u_k = C(2k, k) / 4^k
-                 = q^n P_n((q + 1/q)/2)
+    E_n = sum_k u_k u_{n-k} q^{2k},   u_k = C(2k, k) / 4^k
+        = q^n P_n((q + 1/q)/2)
 
-and, writing E_n = pgf(law(2n)), the odd-length PGF pgf(law(2n+1)) has five
-further expressions in terms of E_n, E_{n+1} and E_{n+2}, all of which must
-agree exactly; an InexactDivision anywhere in this module falsifies an
-identity and is allowed to propagate.  Legendre polynomials use
-the standard normalization P_n(1) = 1 and are returned as plain QPoly values
-in the argument variable, built from their explicit sum (see `legendre`).  The
+and the odd-length PGF pgf(law(2n+1)) has five further expressions in E_n,
+E_{n+1} and E_{n+2}, which must agree exactly.  Each is algebra on the even
+laws it is handed, as `(n, e_n, e_n1, e_n2)`; this module builds no law.  An
+InexactDivision anywhere in this module falsifies an identity (or its inputs)
+and is allowed to propagate.  Legendre polynomials use the standard
+normalization P_n(1) = 1 and are returned as plain QPoly values in the
+argument variable, built from their explicit sum (see `legendre`).  The
 recurrence `lagrange_series` meets the closed product law at polynomial (a, b)
 (the two-route rows) and the explicit sum at rational (a, b) (the Lagrange rows).
 """
@@ -22,7 +23,6 @@ import math
 from fractions import Fraction
 from itertools import accumulate
 
-from .distributions import law, pgf
 from .errors import DomainError
 from .qpoly import QPoly, Scalar, binomial
 
@@ -52,42 +52,44 @@ def legendre_pgf_table(n_max: int) -> list[QPoly]:
     return list(lagrange_series(_LEGENDRE_A, _LEGENDRE_B, n_max + 1))
 
 
-def odd_pgf_via_ratio(n: int) -> QPoly:
+def odd_pgf_via_ratio(n: int, e_n: QPoly, e_n1: QPoly, e_n2: QPoly) -> QPoly:
     """PGF over 2n+1 tosses as (E_n q + E_{n+1}) / (q+1), exactly."""
-    return (pgf(law(2 * n)).shift(1) + pgf(law(2 * n + 2))).divide_exact(_Q_PLUS_1)
+    return (e_n.shift(1) + e_n1).divide_exact(_Q_PLUS_1)
 
 
-def odd_pgf_via_derivative(n: int) -> QPoly:
-    """Same polynomial as E_{n+1} + (1-q)/(2(n+1)) * E_{n+1}'."""
-    a = pgf(law(2 * n + 2))
-    return a + (QPoly((1, -1)) * a.derivative()).scale(Fraction(1, 2 * (n + 1)))
+def odd_pgf_via_derivative(n: int, e_n: QPoly, e_n1: QPoly, e_n2: QPoly) -> QPoly:
+    """Same polynomial as E_{n+1} + (1-q)/(2(n+1)) * E_{n+1}'.
+
+    Blind to E_{n+1} moved along c (1-q)^{2n+2}, the kernel of that map, where
+    the ratio form raises InexactDivision: no one identity is the check.
+    """
+    return e_n1 + (QPoly((1, -1)) * e_n1.derivative()).scale(Fraction(1, 2 * (n + 1)))
 
 
-def odd_pgf_via_three_term(n: int) -> QPoly:
+def odd_pgf_via_three_term(n: int, e_n: QPoly, e_n1: QPoly, e_n2: QPoly) -> QPoly:
     """Same polynomial from the three-term form.
 
     [((2n+3)(q^2+1) + (2n+2)q) q E_n + 2(n+2) E_{n+2}]
         / [(1+q+q^2+q^3)(2n+3)]
     """
     weight = QPoly((2 * n + 3, 2 * n + 2, 2 * n + 3)).shift(1)  # ((2n+3)(q^2+1)+(2n+2)q) q
-    num = weight * pgf(law(2 * n)) + pgf(law(2 * n + 4)).scale(2 * (n + 2))
+    num = weight * e_n + e_n2.scale(2 * (n + 2))
     return num.divide_exact(QPoly((1, 1, 1, 1))).scale(Fraction(1, 2 * n + 3))
 
 
-def odd_pgf_via_parity_split(n: int) -> QPoly:
+def odd_pgf_via_parity_split(n: int, e_n: QPoly, e_n1: QPoly, e_n2: QPoly) -> QPoly:
     """Same polynomial assembled from its even and odd q-parts.
 
     even part (E_{n+1} - q^2 E_n) / (1-q^2), odd part
     q (E_n - E_{n+1}) / (1-q^2); each division is exact.
     """
-    a_n, a_n1 = pgf(law(2 * n)), pgf(law(2 * n + 2))
     one_minus_q2 = QPoly((1, 0, -1))
-    even = (a_n1 - a_n.shift(2)).divide_exact(one_minus_q2)
-    odd = (a_n - a_n1).shift(1).divide_exact(one_minus_q2)
+    even = (e_n1 - e_n.shift(2)).divide_exact(one_minus_q2)
+    odd = (e_n - e_n1).shift(1).divide_exact(one_minus_q2)
     return even + odd
 
 
-def odd_pgf_via_partial_sums(n: int) -> QPoly:
+def odd_pgf_via_partial_sums(n: int, e_n: QPoly, e_n1: QPoly, e_n2: QPoly) -> QPoly:
     """The (2n+1)-toss PGF from partial sums of w[2j, 2m].
 
     With w[2j, 2m] = P(N_2m = 2j) = u_j u_{m-j}, u_k = C(2k, k) / 4^k, read off
@@ -98,7 +100,7 @@ def odd_pgf_via_partial_sums(n: int) -> QPoly:
     are prefix sums of the even PGFs' integer numerators over their common
     denominator, whose slot 2i-1 holds sum_{j<=i-1}.
     """
-    (lo, lo_den), (hi, hi_den) = pgf(law(2 * n)).numerators, pgf(law(2 * n + 2)).numerators
+    (lo, lo_den), (hi, hi_den) = e_n.numerators, e_n1.numerators
     den = math.lcm(lo_den, hi_den)
     lo = list(accumulate(c * (den // lo_den) for c in lo))
     hi = list(accumulate(c * (den // hi_den) for c in hi))

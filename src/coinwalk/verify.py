@@ -122,14 +122,14 @@ def _skipped(route: str, n: int) -> ReportRow:
 
 
 def _check_parity(max_n: int, order: int, cap: int, parity: int, dp_table: list[QPoly],
-                  legendre_table: list[QPoly] | None, full: BivariateSeries,
-                  part: BivariateSeries) -> list[ReportRow]:
+                  legendre_table: list[QPoly] | None, evens: list[QPoly],
+                  full: BivariateSeries, part: BivariateSeries) -> list[ReportRow]:
     """Rows for every m of one parity; `part` is that parity's series expansion."""
     rows = []
     part_route = "series-even" if parity == 0 else "series-odd"
     odd_ratio = pgf_series_odd_ratio(order) if parity == 1 else None
     for m in range(parity, max_n + 1, 2):
-        closed = pgf(law(m))
+        closed = evens[m // 2] if parity == 0 else pgf(law(m))  # evens[k] = pgf(law(2k))
         rows.append(_compare("dp", m, dp_table[m], closed))
         if m < order:
             rows.append(_compare("series", m, full.coeff(m), closed))
@@ -148,11 +148,13 @@ def _check_parity(max_n: int, order: int, cap: int, parity: int, dp_table: list[
             n = (m - 1) // 2
             if m < order:
                 rows.append(_compare("series-odd-ratio", m, odd_ratio.coeff(m), closed))
-            rows.append(_compare("identity-ratio", m, odd_pgf_via_ratio(n), closed))
-            rows.append(_compare("identity-derivative", m, odd_pgf_via_derivative(n), closed))
-            rows.append(_compare("identity-three-term", m, odd_pgf_via_three_term(n), closed))
-            rows.append(_compare("identity-parity-split", m, odd_pgf_via_parity_split(n), closed))
-            rows.append(_compare("partial-sums", m, odd_pgf_via_partial_sums(n), closed))
+            e = evens[n:n + 3]  # E_n, E_{n+1}, E_{n+2}
+            rows.append(_compare("identity-ratio", m, odd_pgf_via_ratio(n, *e), closed))
+            rows.append(_compare("identity-derivative", m, odd_pgf_via_derivative(n, *e), closed))
+            rows.append(_compare("identity-three-term", m, odd_pgf_via_three_term(n, *e), closed))
+            rows.append(_compare("identity-parity-split", m,
+                                 odd_pgf_via_parity_split(n, *e), closed))
+            rows.append(_compare("partial-sums", m, odd_pgf_via_partial_sums(n, *e), closed))
     return rows
 
 
@@ -176,33 +178,25 @@ def _check_ratio_form(order: int, dp_table: list[QPoly]) -> ReportRow:
         done, k = k, min(2 * k, stop)
 
 
-def _check_csaki(max_n: int, order: int, cap: int) -> list[ReportRow]:
-    rows = []
+def _check_csaki(order: int, cap: int) -> list[ReportRow]:
     # built only as far as a compared row reads: n <= min(order - 1, cap)
     series = nonneg_series(min(order, cap + 1))
-    for n in range(order):
-        if n > cap:
-            rows.append(_skipped("csaki", n))
-            continue
-        want = pgf(oracle_distribution(n, PositivityRule.NON_NEGATIVE, cap=cap))
-        rows.append(_compare("csaki", n, series.coeff(n), want))
-    return rows
+    return [_compare("csaki", n, series.coeff(n),
+                     pgf(oracle_distribution(n, PositivityRule.NON_NEGATIVE, cap=cap)))
+            if n <= cap else _skipped("csaki", n) for n in range(order)]
 
 
 def _check_cond(max_n: int, cap: int) -> list[ReportRow]:
-    rows = []
-    for n in range(1, max_n + 1):
-        if 2 * n > cap:
-            rows.append(_skipped("cond", n))
-            continue
-        got = QPoly(oracle_conditional(n, cap=cap))
-        want = QPoly(conditional_positive(n, r) for r in range(n + 1))
-        rows.append(_compare("cond", n, got, want))
-    return rows
+    return [_compare("cond", n, QPoly(oracle_conditional(n, cap=cap)),
+                     QPoly(conditional_positive(n, r) for r in range(n + 1)))
+            if 2 * n <= cap else _skipped("cond", n) for n in range(1, max_n + 1)]
 
 
-def _check_legendre(max_n: int, legendre_table: list[QPoly]) -> list[ReportRow]:
-    rows = [_compare("legendre-two-route", n, got, pgf(law(2 * n)))
+def _check_legendre(max_n: int, legendre_table: list[QPoly],
+                    evens: list[QPoly]) -> list[ReportRow]:
+    """Two-route rows, to walk length 2 max_n (n is a Legendre degree), then Lagrange rows."""
+    rows = [_compare("legendre-two-route", n, got,
+                     evens[n] if n < len(evens) else pgf(law(2 * n)))
             for n, got in enumerate(legendre_table)]
     count = min(max_n, 20) + 1
     rows.append(_compare("lagrange-ones", count - 1,
@@ -225,6 +219,7 @@ def run_verify(max_n: int = 12, order: int = 32, sections: str = "all",
     if sections not in SECTIONS:
         raise DomainError(f"unknown section {sections!r}; choose from {SECTIONS}")
     rows: list[ReportRow] = []
+    evens: list[QPoly] = []  # E_k = pgf(law(2k)): one object per k, shared by its rows
     # every series is built once, only as far as a compared row reads: z^max_n
     order = min(order, max_n + 1)
     legendre_table = (legendre_pgf_table(max_n // 2 if sections == "even" else max_n)
@@ -234,16 +229,19 @@ def run_verify(max_n: int = 12, order: int = 32, sections: str = "all",
         even = pgf_series_even(order + 1)
         odd = _odd_from_even(even)
         full = even + odd  # what pgf_series(order) returns
-        if sections in ("all", "even"):
-            rows.extend(_check_parity(max_n, order, cap, 0, dp_table, legendre_table, full, even))
-        if sections in ("all", "odd"):
-            rows.extend(_check_parity(max_n, order, cap, 1, dp_table, legendre_table, full, odd))
+        # every E_k a parity row or an odd identity reads (k <= max_n // 2 + 2),
+        # built after the DP so that it is not held under the DP's peak
+        evens = [pgf(law(2 * k)) for k in range(max_n // 2 + 3)]
+        for name, parity, part in (("even", 0, even), ("odd", 1, odd)):
+            if sections in ("all", name):
+                rows.extend(_check_parity(max_n, order, cap, parity, dp_table, legendre_table,
+                                          evens, full, part))
         if sections == "all":
             rows.append(_check_ratio_form(order, dp_table))
     if sections in ("all", "csaki"):
-        rows.extend(_check_csaki(max_n, order, cap))
+        rows.extend(_check_csaki(order, cap))
     if sections in ("all", "cond"):
         rows.extend(_check_cond(max_n // 2 if sections == "all" else max_n, cap))
     if sections in ("all", "legendre"):
-        rows.extend(_check_legendre(max_n, legendre_table))
+        rows.extend(_check_legendre(max_n, legendre_table, evens))
     return VerifyReport(rows=tuple(rows), strict_csaki=strict_csaki)

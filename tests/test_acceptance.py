@@ -98,11 +98,12 @@ def test_criterion_4_generating_function_anatomy():
 
 def test_criterion_5_identity_suite():
     for n in range(31):
-        base = odd_pgf_via_ratio(n)
-        assert odd_pgf_via_derivative(n) == base, f"n={n}"
-        assert odd_pgf_via_three_term(n) == base, f"n={n}"
-        assert odd_pgf_via_parity_split(n) == base, f"n={n}"
-        assert odd_pgf_via_partial_sums(n) == base, f"n={n}"
+        e = [pgf(law(2 * k)) for k in (n, n + 1, n + 2)]  # E_n, E_{n+1}, E_{n+2}
+        base = odd_pgf_via_ratio(n, *e)
+        assert odd_pgf_via_derivative(n, *e) == base, f"n={n}"
+        assert odd_pgf_via_three_term(n, *e) == base, f"n={n}"
+        assert odd_pgf_via_parity_split(n, *e) == base, f"n={n}"
+        assert odd_pgf_via_partial_sums(n, *e) == base, f"n={n}"
     report(5, "all five expressions for the odd-length PGF agree exactly, n<=30")
 
 

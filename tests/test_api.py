@@ -34,6 +34,16 @@ def test_source_parses_at_the_python_floor(path):
     ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
 
 
+def test_legendre_builds_no_law():
+    # the odd identities are handed the even laws; the module imports nothing of distributions
+    tree = ast.parse((Path(coinwalk.__file__).parent / "legendre.py").read_text())
+    imported = [f"{node.module or ''}.{alias.name}" if isinstance(node, ast.ImportFrom)
+                else alias.name
+                for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names]
+    assert imported and not any("distributions" in name.split(".") for name in imported)
+
+
 @pytest.mark.parametrize("call", [
     lambda: QPoly.q().shift(-1),  # was q
     lambda: QPoly.one().shift(-2),

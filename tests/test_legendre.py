@@ -4,6 +4,7 @@ from itertools import accumulate
 import pytest
 
 from coinwalk.distributions import law, pgf
+from coinwalk.errors import InexactDivision
 from coinwalk.legendre import (
     lagrange_series,
     legendre,
@@ -14,7 +15,7 @@ from coinwalk.legendre import (
     odd_pgf_via_ratio,
     odd_pgf_via_three_term,
 )
-from coinwalk.qpoly import QPoly
+from coinwalk.qpoly import QPoly, binomial
 from coinwalk.series import BivariateSeries
 
 F = Fraction
@@ -23,6 +24,11 @@ F = Fraction
 @pytest.fixture(scope="module")
 def legendre_table():
     return legendre_pgf_table(30)
+
+
+def evens(n):
+    """E_n, E_{n+1}, E_{n+2}: the even laws an odd identity is handed."""
+    return [pgf(law(2 * k)) for k in (n, n + 1, n + 2)]
 
 
 def parity_part(p, parity):
@@ -96,30 +102,30 @@ class TestEvenPgf:
 class TestOddPgfRoutes:
     def test_trivial(self):
         half = QPoly((F(1, 2), F(1, 2)))
-        assert odd_pgf_via_ratio(0) == half
-        assert odd_pgf_via_derivative(0) == half
-        assert odd_pgf_via_three_term(0) == half
-        assert odd_pgf_via_parity_split(0) == half
+        assert odd_pgf_via_ratio(0, *evens(0)) == half
+        assert odd_pgf_via_derivative(0, *evens(0)) == half
+        assert odd_pgf_via_three_term(0, *evens(0)) == half
+        assert odd_pgf_via_parity_split(0, *evens(0)) == half
 
     def test_ratio_route_example(self):
-        assert odd_pgf_via_ratio(1) == QPoly((F(3, 8), F(1, 8), F(1, 8), F(3, 8)))
+        assert odd_pgf_via_ratio(1, *evens(1)) == QPoly((F(3, 8), F(1, 8), F(1, 8), F(3, 8)))
 
     @pytest.mark.parametrize("n", range(31))
     def test_four_way_agreement(self, n):
-        base = odd_pgf_via_ratio(n)
-        assert odd_pgf_via_derivative(n) == base
-        assert odd_pgf_via_three_term(n) == base
-        assert odd_pgf_via_parity_split(n) == base
+        base = odd_pgf_via_ratio(n, *evens(n))
+        assert odd_pgf_via_derivative(n, *evens(n)) == base
+        assert odd_pgf_via_three_term(n, *evens(n)) == base
+        assert odd_pgf_via_parity_split(n, *evens(n)) == base
 
     @pytest.mark.parametrize("n", range(31))
     def test_normalization(self, n):
-        assert odd_pgf_via_ratio(n)(1) == 1
+        assert odd_pgf_via_ratio(n, *evens(n))(1) == 1
 
     @pytest.mark.parametrize("n", range(31))
     def test_parity_split_structure(self, n):
         # the even/odd q-parts of the PGF are the two exact quotients
         one_minus_q2 = QPoly((1, 0, -1))
-        p = odd_pgf_via_ratio(n)
+        p = odd_pgf_via_ratio(n, *evens(n))
         even_want = (pgf(law(2 * n + 2)) - pgf(law(2 * n)).shift(2)).divide_exact(one_minus_q2)
         odd_want = (pgf(law(2 * n)) - pgf(law(2 * n + 2))).shift(1).divide_exact(one_minus_q2)
         assert parity_part(p, 0) == even_want
@@ -128,12 +134,12 @@ class TestOddPgfRoutes:
 
 class TestPartialSums:
     def test_examples(self):
-        assert odd_pgf_via_partial_sums(0).coeffs == (F(1, 2), F(1, 2))
-        assert odd_pgf_via_partial_sums(1).coeffs == (F(3, 8), F(1, 8), F(1, 8), F(3, 8))
+        assert odd_pgf_via_partial_sums(0, *evens(0)).coeffs == (F(1, 2), F(1, 2))
+        assert odd_pgf_via_partial_sums(1, *evens(1)).coeffs == (F(3, 8), F(1, 8), F(1, 8), F(3, 8))
 
     @pytest.mark.parametrize("n", range(31))
     def test_sums_to_one(self, n):
-        assert sum(odd_pgf_via_partial_sums(n).coeffs) == 1
+        assert sum(odd_pgf_via_partial_sums(n, *evens(n)).coeffs) == 1
 
     @pytest.mark.parametrize("n", range(41))
     def test_integer_sums_match_fraction_sums(self, n):
@@ -142,15 +148,56 @@ class TestPartialSums:
         want = []
         for i in range(n + 1):
             want += [hi[2 * i] - (lo[2 * i - 1] if i else 0), lo[2 * i] - hi[2 * i]]
-        assert odd_pgf_via_partial_sums(n).coeffs == tuple(want)
-        assert all(type(c) is F for c in odd_pgf_via_partial_sums(n).coeffs)
-        assert odd_pgf_via_partial_sums(n) == QPoly(want)
+        assert odd_pgf_via_partial_sums(n, *evens(n)).coeffs == tuple(want)
+        assert all(type(c) is F for c in odd_pgf_via_partial_sums(n, *evens(n)).coeffs)
+        assert odd_pgf_via_partial_sums(n, *evens(n)) == QPoly(want)
 
     @pytest.mark.parametrize("n", range(31))
     def test_matches_law_and_ratio_route(self, n):
-        masses = odd_pgf_via_partial_sums(n).coeffs
+        masses = odd_pgf_via_partial_sums(n, *evens(n)).coeffs
         assert masses == law(2 * n + 1).mass
-        assert QPoly(masses) == odd_pgf_via_ratio(n)
+        assert QPoly(masses) == odd_pgf_via_ratio(n, *evens(n))
+
+
+#: each odd identity, and the even laws it reads as indices into (E_n, E_{n+1}, E_{n+2})
+READS = [
+    (odd_pgf_via_ratio, (0, 1)),
+    (odd_pgf_via_derivative, (1,)),
+    (odd_pgf_via_three_term, (0, 2)),
+    (odd_pgf_via_parity_split, (0, 1)),
+    (odd_pgf_via_partial_sums, (0, 1)),
+]
+
+
+class TestPerturbedEvenLaws:
+    # mass moved from q^0 to q^2 (total kept), and mass moved from q^1 to q^0
+    @pytest.mark.parametrize("delta", [QPoly((-1, 0, 1)), QPoly((1, -1))], ids=["q2-1", "1-q"])
+    @pytest.mark.parametrize("identity,reads", READS, ids=[f.__name__ for f, _ in READS])
+    @pytest.mark.parametrize("n", range(11))
+    def test_every_read_law_is_checked(self, n, identity, reads, delta):
+        want = pgf(law(2 * n + 1))
+        for i in reads:
+            e = evens(n)
+            e[i] = e[i] + delta.scale(F(1, 4 ** (n + 2)))
+            try:
+                got = identity(n, *e)
+            except InexactDivision:
+                continue
+            assert got != want, f"E_{n + i} moved unseen"
+
+
+class TestDerivativeBlindDirection:
+    @pytest.mark.parametrize("n", range(6))
+    def test_kernel_of_the_derivative_form(self, n):
+        # c (1-q)^{2n+2} solves E + (1-q) E' / (2(n+1)) = 0: the derivative form
+        # cannot see E_{n+1} moved along it, the ratio form divides it loudly
+        e_n, e_n1, e_n2 = evens(n)
+        blind = QPoly((-1) ** j * binomial(2 * n + 2, j) for j in range(2 * n + 3))
+        moved = e_n1 + blind.scale(F(1, 4 ** (n + 1)))
+        assert moved != e_n1
+        assert odd_pgf_via_derivative(n, e_n, moved, e_n2) == pgf(law(2 * n + 1))
+        with pytest.raises(InexactDivision):
+            odd_pgf_via_ratio(n, e_n, moved, e_n2)
 
 
 class TestLagrange:

@@ -274,6 +274,30 @@ class TestRunVerify:
         lagrange_rows = sections in ("all", "legendre")
         assert len(calls) == (3 * (min(max_n, 20) + 1) if lagrange_rows else 0)
 
+    @pytest.mark.parametrize("max_n", [7, 21])
+    @pytest.mark.parametrize("sections", SECTIONS)
+    def test_each_law_built_once(self, monkeypatch, sections, max_n):
+        lengths = []
+
+        def counted(m):
+            lengths.append(m)
+            return law(m)
+
+        monkeypatch.setattr("coinwalk.verify.law", counted)
+        report = run_verify(max_n=max_n, order=max_n + 1, sections=sections, cap=8)
+        assert report.passed
+        assert len(lengths) == len(set(lengths))
+        if sections in ("csaki", "cond"):
+            assert lengths == []
+        if sections == "all":
+            # every odd length to max_n, every even one to 2 max_n (the two-route rows)
+            odd, even = range(1, max_n + 1, 2), range(0, 2 * max_n + 1, 2)
+            assert set(lengths) == set(odd) | set(even)
+            # one law object per length: the even row and the two-route row share it
+            got = {(row.route, row.n): row.got for row in report.rows}
+            for k in range(max_n // 2 + 1):
+                assert got["legendre", 2 * k] is got["legendre-two-route", k]
+
     @pytest.mark.parametrize("sections", SECTIONS)
     def test_series_built_only_as_far_as_compared(self, monkeypatch, sections):
         built = {"even": [], "odd-ratio": []}
