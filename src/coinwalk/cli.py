@@ -325,8 +325,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("verify", help="run the cross-route verification harness")
-    p.add_argument("--max-n", type=_nonneg, default=12)
-    p.add_argument("--order", type=_positive, default=32)
+    p.add_argument("--max-n", type=_nonneg, default=12,
+                   help="walk length; the two-route rows reach 2*max_n (default %(default)s)")
+    p.add_argument("--order", type=_positive,
+                   help="the last series and csaki length plus one (default --max-n + 1)")
     p.add_argument("--sections", choices=SECTIONS, default="all")
     add_cap(p, "longest walk enumerated; rows past it are skipped:cap")
     p.add_argument("--strict-csaki", action="store_true",

@@ -98,12 +98,14 @@ def odd_pgf_via_partial_sums(n: int, e_n: QPoly, e_n1: QPoly, e_n2: QPoly) -> QP
         coeff(2i+1) = sum_{j<=i} w[2j, 2n]   - sum_{j<=i}   w[2j, 2n+2]
     No polynomial division at all; a third, purely additive route.  The sums
     are prefix sums of the even PGFs' integer numerators over their common
-    denominator, whose slot 2i-1 holds sum_{j<=i-1}.
+    denominator, whose slot 2i-1 holds sum_{j<=i-1}; past a degree they add 0.
+    Blind to E_{n+1} past q^{2n}: moved by c (q^{2n+2} - q^{2n+1}) it still
+    gives the law, where the ratio and parity-split forms raise InexactDivision.
     """
     (lo, lo_den), (hi, hi_den) = e_n.numerators, e_n1.numerators
     den = math.lcm(lo_den, hi_den)
-    lo = list(accumulate(c * (den // lo_den) for c in lo))
-    hi = list(accumulate(c * (den // hi_den) for c in hi))
+    lo = list(accumulate(c * (den // lo_den) for c in lo + (0,) * (2 * n + 1 - len(lo))))
+    hi = list(accumulate(c * (den // hi_den) for c in hi + (0,) * (2 * n + 1 - len(hi))))
     out: list[int] = []
     for i in range(n + 1):
         out += [hi[2 * i] - (lo[2 * i - 1] if i else 0), lo[2 * i] - hi[2 * i]]

@@ -3,10 +3,11 @@
 A :class:`BivariateSeries` is built from its coefficients alone,
 ``BivariateSeries(coeffs)``: those of z^0..z^{Z-1}, each a
 :class:`~coinwalk.qpoly.QPoly` in the marking variable q, and its order Z is
-``len(coeffs)`` (at least 1).  Arithmetic is exact; results carry the
-minimum order of the operands, and truncation is always explicit (no lazy
-streams), so every computation has a reproducible cost and an auditable
-precision.
+``len(coeffs)`` (at least 1).  Arithmetic is exact and results carry the
+minimum order of the operands.  Each builder expands exactly as far as the
+order it returns, adding only the one order a division by z (`shift_down`)
+takes, and never cuts a longer expansion back, so every computation has a
+reproducible cost and an auditable precision.
 
 Division is the classic series recurrence: one exact q-polynomial division
 per output coefficient by the denominator's z^0 coefficient, which must be
@@ -60,10 +61,6 @@ from .qpoly import QPoly
 _PolyLike = Union[QPoly, int, Fraction]
 
 
-def _as_poly(c: _PolyLike) -> QPoly:
-    return c if isinstance(c, QPoly) else QPoly((c,))
-
-
 @dataclass(frozen=True)
 class BivariateSeries:
     """Truncated series in z with QPoly coefficients; its order is len(coeffs)."""
@@ -88,7 +85,7 @@ class BivariateSeries:
             if k < 0:
                 raise DomainError("negative z-power")
             if k < order:
-                cs[k] = _as_poly(c)
+                cs[k] = c if isinstance(c, QPoly) else QPoly((c,))
         return cls(tuple(cs))
 
     @classmethod
@@ -102,13 +99,6 @@ class BivariateSeries:
             raise DomainError(f"z^{n} not retained at order {self.order}")
         return self.coeffs[n]
 
-    def truncate(self, order: int) -> "BivariateSeries":
-        if order > self.order:
-            raise DomainError(f"cannot extend order {self.order} to {order}")
-        if order < 1:  # a negative slice bound would count from the end
-            raise DomainError("order must be at least 1")
-        return BivariateSeries(self.coeffs[:order])
-
     # -- linear arithmetic ------------------------------------------------
 
     def __add__(self, other: "BivariateSeries") -> "BivariateSeries":
@@ -119,8 +109,7 @@ class BivariateSeries:
 
     def scale(self, c: _PolyLike) -> "BivariateSeries":
         """Multiply every coefficient by a fixed q-polynomial or scalar."""
-        p = _as_poly(c)
-        return BivariateSeries(tuple(a * p for a in self.coeffs))
+        return BivariateSeries(tuple(a * c for a in self.coeffs))
 
     def shift_up(self, k: int) -> "BivariateSeries":
         """Multiply by z^k; the low coefficients are known zeros, so order grows."""
@@ -216,7 +205,7 @@ def pgf_series_odd_ratio(order: int) -> BivariateSeries:
     numerator   sqrt(1-z^2) sqrt(1-q^2 z^2) (qz^2+1) - z^2 (q^2 (z^2-1) - 1) - 1
     denominator (1-z^2)(1-q^2 z^2)(q+1) z
     """
-    o = order + 3
+    o = order + 1  # the one order shift_down(1) takes
     rz = _sqrt_one_minus_z2(o)
     rqz = _at_qz(rz)
     # -z^2 (q^2 (z^2-1) - 1) = (q^2+1) z^2 - q^2 z^4
@@ -230,7 +219,7 @@ def pgf_series_odd_ratio(order: int) -> BivariateSeries:
         * BivariateSeries.from_terms({0: 1, 2: QPoly.monomial(2, -1)}, o)
         * BivariateSeries.from_terms({0: QPoly((1, 1))}, o)
     )
-    return (num.shift_down(1) / den).truncate(order)  # the denominator's z divides num first
+    return num.shift_down(1) / den  # the denominator's z divides num first
 
 
 def pgf_series(order: int) -> BivariateSeries:
@@ -251,35 +240,34 @@ def pgf_series_ratio(order: int) -> BivariateSeries:
     route coefficient by coefficient and report the first discrepancy; do
     not "fix" terms here.
     """
-    o = order + 2
-    rz = _sqrt_one_minus_z2(o)
+    rz = _sqrt_one_minus_z2(order)
     rqz = _at_qz(rz)
-    one = BivariateSeries.one(o)
-    z2 = BivariateSeries.from_terms({2: 1}, o)
+    one = BivariateSeries.one(order)
+    z2 = BivariateSeries.from_terms({2: 1}, order)
 
     # (qz^2 - 1)(2z^2 + sqrt(1-z^2)(z^2 - 1) - 1)
     #   + (1-z^2) sqrt(1-q^2 z^2) (2 sqrt(1-z^2) - z^2 + 2)
-    bracket_num = BivariateSeries.from_terms({2: QPoly.q(), 0: -1}, o) * (
-        z2.scale(2) + rz * BivariateSeries.from_terms({2: 1, 0: -1}, o) - one
-    ) + BivariateSeries.from_terms({0: 1, 2: -1}, o) * rqz * (
-        rz.scale(2) + BivariateSeries.from_terms({0: 2, 2: -1}, o)
+    bracket_num = BivariateSeries.from_terms({2: QPoly.q(), 0: -1}, order) * (
+        z2.scale(2) + rz * BivariateSeries.from_terms({2: 1, 0: -1}, order) - one
+    ) + BivariateSeries.from_terms({0: 1, 2: -1}, order) * rqz * (
+        rz.scale(2) + BivariateSeries.from_terms({0: 2, 2: -1}, order)
     )
     numerator = (rqz * bracket_num).scale(QPoly((-1, -1))).shift_up(1)  # * -z(q+1)
 
     # ((q^2+1)z^2 - 2)(2 sqrt(1-z^2) - z^2 + 2)
     #   + sqrt(1-q^2 z^2)(4z^2 + 2 sqrt(1-z^2)(z^2 - 2) - 4)
-    bracket_den = BivariateSeries.from_terms({2: QPoly((1, 0, 1)), 0: -2}, o) * (
-        rz.scale(2) + BivariateSeries.from_terms({0: 2, 2: -1}, o)
+    bracket_den = BivariateSeries.from_terms({2: QPoly((1, 0, 1)), 0: -2}, order) * (
+        rz.scale(2) + BivariateSeries.from_terms({0: 2, 2: -1}, order)
     ) + rqz * (
-        BivariateSeries.from_terms({2: 4, 0: -4}, o)
-        + rz * BivariateSeries.from_terms({2: 2, 0: -4}, o)
+        BivariateSeries.from_terms({2: 4, 0: -4}, order)
+        + rz * BivariateSeries.from_terms({2: 2, 0: -4}, order)
     )
     denominator = (
-        BivariateSeries.from_terms({0: 1, 2: -1}, o)
-        * BivariateSeries.from_terms({0: 1, 2: QPoly.monomial(2, -1)}, o)
+        BivariateSeries.from_terms({0: 1, 2: -1}, order)
+        * BivariateSeries.from_terms({0: 1, 2: QPoly.monomial(2, -1)}, order)
         * bracket_den
     )
-    return (numerator / denominator).truncate(order)
+    return numerator / denominator
 
 
 def nonneg_series(order: int) -> BivariateSeries:
@@ -289,7 +277,7 @@ def nonneg_series(order: int) -> BivariateSeries:
     of the NON_NEGATIVE count, whose slot-0 mass is empty (S_0 = 0 always
     counts, so the constant coefficient is q, not 1).
     """
-    o = order + 2
+    o = order + 1  # the one order shift_down(1) takes
     rz = _sqrt_one_minus_z2(o)
     rqz = _at_qz(rz)
     one = BivariateSeries.one(o)
@@ -309,4 +297,4 @@ def nonneg_series(order: int) -> BivariateSeries:
     correction_den = BivariateSeries.from_terms(
         {0: 2, 1: QPoly((-2, -2)), 2: QPoly.monomial(1, 2)}, o
     )
-    return (geometric + correction_num.shift_down(1) / correction_den).truncate(order)
+    return geometric + correction_num.shift_down(1) / correction_den

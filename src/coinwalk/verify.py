@@ -123,16 +123,17 @@ def _skipped(route: str, n: int) -> ReportRow:
 
 def _check_parity(max_n: int, order: int, cap: int, parity: int, dp_table: list[QPoly],
                   legendre_table: list[QPoly] | None, evens: list[QPoly],
-                  full: BivariateSeries, part: BivariateSeries) -> list[ReportRow]:
-    """Rows for every m of one parity; `part` is that parity's series expansion."""
+                  even: BivariateSeries, odd: BivariateSeries) -> list[ReportRow]:
+    """Rows for every m of one parity; `even` and `odd` are the walk series' two parts."""
     rows = []
-    part_route = "series-even" if parity == 0 else "series-odd"
+    part, part_route = (odd, "series-odd") if parity else (even, "series-even")
     odd_ratio = pgf_series_odd_ratio(order) if parity == 1 else None
     for m in range(parity, max_n + 1, 2):
         closed = evens[m // 2] if parity == 0 else pgf(law(m))  # evens[k] = pgf(law(2k))
         rows.append(_compare("dp", m, dp_table[m], closed))
         if m < order:
-            rows.append(_compare("series", m, full.coeff(m), closed))
+            # z^m of pgf_series(order), formed per row: an agreeing row keeps `closed`
+            rows.append(_compare("series", m, even.coeff(m) + odd.coeff(m), closed))
             rows.append(_compare(part_route, m, part.coeff(m), closed))
         if m <= cap:
             rows.append(_compare(
@@ -213,29 +214,28 @@ def _check_legendre(max_n: int, legendre_table: list[QPoly],
     return rows
 
 
-def run_verify(max_n: int = 12, order: int = 32, sections: str = "all",
+def run_verify(max_n: int = 12, order: int | None = None, sections: str = "all",
                cap: int = DEFAULT_CAP, strict_csaki: bool = False) -> VerifyReport:
-    """Run the selected cross-route checks and collect the report."""
+    """Run the selected checks; series and csaki rows end at order - 1 (default max_n)."""
     if sections not in SECTIONS:
         raise DomainError(f"unknown section {sections!r}; choose from {SECTIONS}")
     rows: list[ReportRow] = []
     evens: list[QPoly] = []  # E_k = pgf(law(2k)): one object per k, shared by its rows
     # every series is built once, only as far as a compared row reads: z^max_n
-    order = min(order, max_n + 1)
+    order = min(max_n + 1 if order is None else order, max_n + 1)
     legendre_table = (legendre_pgf_table(max_n // 2 if sections == "even" else max_n)
                       if sections in ("all", "even", "legendre") else None)
     if sections in ("all", "even", "odd"):
         dp_table = dp_pgf_table(max_n)
         even = pgf_series_even(order + 1)
         odd = _odd_from_even(even)
-        full = even + odd  # what pgf_series(order) returns
         # every E_k a parity row or an odd identity reads (k <= max_n // 2 + 2),
         # built after the DP so that it is not held under the DP's peak
         evens = [pgf(law(2 * k)) for k in range(max_n // 2 + 3)]
-        for name, parity, part in (("even", 0, even), ("odd", 1, odd)):
+        for name, parity in (("even", 0), ("odd", 1)):
             if sections in ("all", name):
                 rows.extend(_check_parity(max_n, order, cap, parity, dp_table, legendre_table,
-                                          evens, full, part))
+                                          evens, even, odd))
         if sections == "all":
             rows.append(_check_ratio_form(order, dp_table))
     if sections in ("all", "csaki"):

@@ -60,13 +60,12 @@ def test_legendre_builds_no_law():
     lambda: SimConfig(m=4, samples=0, seed=0),
     lambda: BivariateSeries(()),
     lambda: run_verify(sections="nope"),
-    lambda: BivariateSeries.one(5).truncate(-1),  # not a slice from the end
     lambda: SimConfig(m=2**60, samples=1, seed=0),  # its histogram cannot be allocated
     lambda: enumerate_walks(10**12, PositivityRule.CHUNG_FELLER, cap=2 * 10**12),  # nor its tally
 ], ids=["shift-q", "shift-one", "shift-zero", "monomial", "monomial-coeff",
         "legendre", "lagrange_series", "legendre_pgf_table", "enumerate_walks",
         "oracle_conditional", "binomial", "simconfig-m", "simconfig-samples", "series-order",
-        "verify-sections", "series-truncate", "simconfig-huge-m", "enumerate-huge-n"])
+        "verify-sections", "simconfig-huge-m", "enumerate-huge-n"])
 def test_negative_exponent_or_size_is_a_domain_error(call):
     with pytest.raises(DomainError):
         call()

@@ -9,6 +9,7 @@ import sys
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -300,6 +301,10 @@ class TestVerify:
         assert code == 0 and err == ""
         assert out.splitlines()[-1].startswith("verify: PASS (")
 
+    def test_order_defaults_to_max_n_plus_one(self, capsys):
+        argv = ["verify", "--max-n", "40", "--cap", "8", "--format", "json"]
+        assert run(capsys, *argv) == run(capsys, *argv, "--order", "41")
+
     def test_even_section_small(self, capsys):
         code, out, _ = run(capsys, "verify", "--sections", "even", "--max-n", "10", "--order", "12")
         assert code == 0
@@ -323,6 +328,20 @@ class TestVerify:
         rows = json.loads(out)
         assert code == 0
         assert all(r["status"] == "ok" for r in rows)
+
+
+class TestBenchmarkOkRows:
+    # the (route, n) rows the benchmark's verify checks require to stay ok, read only
+    ROWS = json.loads(
+        (Path(__file__).parents[1] / "bench" / "verify_ok_rows.json").read_text())
+
+    @pytest.mark.parametrize("argv", sorted(ROWS))
+    def test_every_listed_row_is_ok(self, capsys, argv):
+        code, out, _ = run(capsys, *argv.split())
+        assert code == 0
+        ok = {(row["route"], row["n"]) for row in json.loads(out) if row["status"] == "ok"}
+        want = {(route, n) for route, ns in self.ROWS[argv].items() for n in ns}
+        assert want and not want - ok
 
 
 class TestVerifyRendering:
@@ -361,7 +380,7 @@ class TestPinnedOutput:
         "lagrange --a 1 --b 1/2 --order 6 --format csv": "12b9e8997af230d9",
         # every series builder, far enough out that each engine op is exercised
         "series --which csaki --order 60": "0938195ab8e7ffea",
-        # small orders, where the builder's two slack terms and its truncation meet
+        # small orders, where the builder's one extra term and its shift_down meet
         "series --which csaki --order 1": "0c4acecfc332bbf9",
         "series --which csaki --order 2": "130bee13925caf2b",
         "series --which csaki --order 7": "6a05f721fee069c5",

@@ -200,6 +200,33 @@ class TestDerivativeBlindDirection:
             odd_pgf_via_ratio(n, e_n, moved, e_n2)
 
 
+class TestPartialSumsBlindDirection:
+    @pytest.mark.parametrize("n", range(6))
+    def test_unread_tail_of_the_higher_law(self, n):
+        # partial sums read E_{n+1} only to q^{2n}: mass moved from q^{2n+1} to
+        # q^{2n+2} goes unseen, the ratio and parity-split forms divide it loudly
+        e_n, e_n1, e_n2 = evens(n)
+        tail = QPoly.monomial(2 * n + 2) - QPoly.monomial(2 * n + 1)
+        moved = e_n1 + tail.scale(F(1, 4 ** (n + 1)))
+        assert moved != e_n1
+        assert odd_pgf_via_partial_sums(n, e_n, moved, e_n2) == pgf(law(2 * n + 1))
+        for identity in (odd_pgf_via_ratio, odd_pgf_via_parity_split):
+            with pytest.raises(InexactDivision):
+                identity(n, e_n, moved, e_n2)
+
+
+class TestPartialSumsShortLaws:
+    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("short", [0, 1], ids=["E_n", "E_n+1"])
+    def test_coefficients_past_the_degree_read_as_zero(self, n, short):
+        # a law of degree below 2n, here the constant 1, as QPoly.coeff reads it;
+        # (q E_n + E_{n+1}) / (q+1) still divides exactly, so the ratio form is the check
+        e = evens(n)
+        e[short] = QPoly.one()
+        assert odd_pgf_via_partial_sums(n, *e) == odd_pgf_via_ratio(n, *e)
+        assert odd_pgf_via_partial_sums(n, *e) == odd_pgf_via_parity_split(n, *e)
+
+
 class TestLagrange:
     def test_telescoping_case(self):
         assert lagrange_series(1, 0, 6) == (1, 1, 1, 1, 1, 1)

@@ -45,6 +45,12 @@ class TestArithmetic:
         assert (S({0: 1}, 4) * S({0: 1}, 7)).order == 4
         assert (S({0: 1}, 4) + S({0: 1}, 7)).order == 4
 
+    @pytest.mark.parametrize("c", [3, F(-2, 3), QPoly((1, F(1, 2)))],
+                             ids=["int", "fraction", "poly"])
+    def test_scale_is_product_with_a_constant_series(self, c):
+        a = S({0: QPoly((F(1, 2), 1)), 2: -5, 3: QPoly.q()}, 5)
+        assert a.scale(c) == a * S({0: c}, 5)
+
     def test_shift_roundtrip(self):
         a = S({0: 1, 3: QPoly.q()}, 5)
         assert a.shift_up(2).shift_down(2) == a
@@ -178,13 +184,23 @@ class TestProperties:
         assert root.coeff(0) == QPoly.one()
 
 
+BUILDERS = [pgf_series_even, pgf_series_odd, pgf_series_odd_ratio,
+            pgf_series, pgf_series_ratio, nonneg_series]
+
+
 class TestOrderDomain:
     @pytest.mark.parametrize("order", [0, -1, -2, -3, -4, -50])
-    @pytest.mark.parametrize("builder", [pgf_series_even, pgf_series_odd, pgf_series_odd_ratio,
-                                         pgf_series, pgf_series_ratio, nonneg_series])
+    @pytest.mark.parametrize("builder", BUILDERS)
     def test_order_below_one(self, builder, order):
         with pytest.raises(DomainError, match="^order must be at least 1$"):
             builder(order)
+
+    @pytest.mark.parametrize("builder", BUILDERS)
+    def test_each_order_is_exactly_a_prefix(self, builder):
+        # a builder expands to the order it returns; a coefficient never depends on it
+        longest = builder(40).coeffs
+        for k in range(1, 41):
+            assert builder(k).coeffs == longest[:k]
 
 
 class TestEvenExpansion:

@@ -7,7 +7,7 @@ from coinwalk.cli import _report_rows
 from coinwalk.distributions import law
 from coinwalk.lattice import dp_pgf_table
 from coinwalk.legendre import legendre, legendre_pgf_table
-from coinwalk.oracle import WalkStats
+from coinwalk.oracle import DEFAULT_CAP, WalkStats
 from coinwalk.qpoly import QPoly
 from coinwalk.series import (
     BivariateSeries,
@@ -316,6 +316,21 @@ class TestRunVerify:
                          "odd-ratio": [13] if sections in ("all", "odd") else []}
         compared = {"all": range(13), "even": range(0, 13, 2), "odd": range(1, 13, 2)}
         assert {r.n for r in rows_by_route(report, "series")} == set(compared.get(sections, ()))
+
+
+class TestDefaultOrder:
+    def test_series_and_csaki_rows_reach_max_n(self):
+        # the default order is max_n + 1, so no series or csaki length is dropped
+        report = run_verify(max_n=40)
+        assert report.passed
+        for route in ("series", "csaki"):
+            assert sorted(r.n for r in rows_by_route(report, route)) == list(range(41))
+        assert {r.n for r in rows_by_route(report, "series-even")} == set(range(0, 41, 2))
+        for route in ("series-odd", "series-odd-ratio"):
+            assert {r.n for r in rows_by_route(report, route)} == set(range(1, 41, 2))
+        assert all(r.ok for r in report.rows if r.route.startswith("series"))
+        assert all(r.ok == (r.n <= DEFAULT_CAP) for r in rows_by_route(report, "csaki"))
+        assert {r.status for r in rows_by_route(report, "csaki")} == {"ok", "skipped:cap"}
 
 
 class TestCsakiExpansion:
