@@ -20,11 +20,15 @@ bit-identical no matter how the sample range is partitioned into blocks,
 so any internal or concurrent blocking is invisible.
 
 `simulate` counts with the enumeration module's step-major kernel, `_BLOCK`
-(2^16) walks at a time.  Word column t of a block (word t of every walk) is
-made just before steps 64t+1..64t+64 and transposed to 64 / w rows of the
-kernel's w-bit unsigned type (`oracle._widths(m)`; four uint16 rows for
-m = 1000), so step k of every walk is bit (k-1) % w of row ((k-1) % 64) // w,
-shifted and masked into one reused buffer of that type.  Bits in the
+(2^16) walks at a time, each block from fresh state in one pass.  The kernel
+adds step k's bits into each walk's up-step count u_k, and compares u_k with
+(k+1)/2 at odd k only, since Chung-Feller steps 2j-1 and 2j count together
+(at even k too under the non-negative rule).  Word column t of a block
+(word t of every walk) is made just before steps 64t+1..64t+64 and
+transposed to 64 / w rows of the kernel's w-bit unsigned type
+(`oracle._widths(m)`; four uint16 rows for m = 1000), so step k of every
+walk is bit (k-1) % w of row ((k-1) % 64) // w, shifted and masked into one
+reused buffer of that type.  Bits in the
 kernel's own width, and its int8 flag tallies, keep every per-step numpy
 call a same-type loop.  A block holds one word column and its counters, so
 its memory does not grow with m.

@@ -5,25 +5,30 @@ no combinatorial shortcuts, so this module stays a trustworthy oracle for the
 closed forms.  Paths are ids 0..2^n-1, bit k giving the sign of step k+1
 (set bit = +1), and the cap is the only limit on n.  One step-major kernel,
 `_count_walks`, counts a tuple of rules in a single pass: per walk of a block
-it keeps twice the up-steps so far and one count per rule, on the narrowest
-type that cannot overflow, and updates them at every step; it also counts
-the Monte Carlo walks.  Enumeration runs every path of each 2^16-path block
-through it from fresh state, steps up to 16 from a bit table of the ids built
-once per process, each higher step as one int for the block.  One bincount per
-block tallies the joint key (cf * (n+2) + nn) * 2 + [S_{n-1} > 0], summed down
-to each rule's WalkStats at the end.  `count_positive` is the plain per-path
-reference both routes are tested with.
+it keeps u, the up-steps so far, and the tallies the rules are read from, on
+the narrowest type that cannot overflow, and updates them at every step; it
+also counts the Monte Carlo walks.  Enumeration runs every path of each
+2^16-path block through it, steps up to 16 from a bit table of the ids built
+once per process, each higher step as one int for the block.  Those 16 table
+steps are the same in every block, so past 16 steps the kernel runs them
+once per n and every block resumes from that state, restored into its own
+buffers: each path is still counted in its own slot, step by step, from its
+own bits.  One bincount per block tallies the joint key
+(cf * (n+2) + nn) * 2 + [S_{n-1} > 0], summed down to each rule's WalkStats
+at the end.  `count_positive` is the plain per-path reference both routes
+are tested with.
 
-Two counting rules:
+Two counting rules, with u_k the up-steps among the first k, so S_k = 2u_k - k:
 
 * CHUNG_FELLER - count k in 1..n with S_k > 0, or S_k = 0 and S_{k-1} > 0.
-  For +-1 steps this is S_k >= b_k, b_k the 0/1 bit of step k, i.e.
-  2u_{k-1} + b_k >= k with u_k the up-steps among the first k; `_count_walks`
-  applies that per path and step, `count_positive` the rule as written.
-* NON_NEGATIVE - count k in 0..n with S_k >= 0, i.e. 2u_k >= k.  The k = 0 term always
-  counts (S_0 = 0), so the count ranges over 1..n+1 and histogram slot 0
-  stays empty.  This is a genuinely different statistic with a different
-  law at finite n.
+  S is odd at odd k, so steps 2j-1 and 2j count together, both iff
+  S_{2j-1} > 0, i.e. u_{2j-1} >= j; only an odd n leaves its last step
+  unpaired.  `_count_walks` tallies the odd steps that count and doubles
+  the tally, `count_positive` applies the rule as written.
+* NON_NEGATIVE - count k in 0..n with S_k >= 0, i.e. 2u_k >= k, the same
+  compare as above at odd k.  The k = 0 term always counts (S_0 = 0), so
+  the count ranges over 1..n+1 and histogram slot 0 stays empty.  This is a
+  genuinely different statistic with a different law at finite n.
 """
 
 from __future__ import annotations
@@ -99,7 +104,7 @@ def _widths(n: int) -> tuple[type[np.signedinteger], type[np.unsignedinteger]]:
     """The signed and unsigned integer types `_count_walks` counts n-step walks on.
 
     The narrowest pair whose signed type holds n + 1: counts (at most n + 1)
-    and sums (|S_n| <= n) are signed, and t = 2u (at most 2n) is unsigned.
+    and sums (|S_n| <= n) are signed, and u (at most n) and 2u are unsigned.
     Step bits made in the unsigned type keep every per-step add a same-type
     numpy loop, about twice as fast as a mixed-type one.
     """
@@ -111,52 +116,98 @@ def _widths(n: int) -> tuple[type[np.signedinteger], type[np.unsignedinteger]]:
 _FLUSH = 127  # the most flags an int8 tally holds
 
 
+class _WalkState:
+    """Where `size` walks of n steps stand after their first k steps, one slot per walk.
+
+    `up` holds u_k, the up-steps so far, in the unsigned type of `_widths(n)`.
+    `odd` counts, in the signed type, the odd steps j <= k with u_j >= (j+1)/2,
+    and `even`, kept only for NON_NEGATIVE, the even steps j <= k with
+    u_j >= j/2.  `_count_walks` starts from fresh state or resumes from one,
+    and the pass that reaches step n reads the counts and sums out into these
+    buffers.
+    """
+
+    def __init__(self, n: int, size: int, rules: Sequence[PositivityRule]):
+        signed, unsigned = _widths(n)
+        self.k = 0
+        self.up = np.zeros(size, unsigned)
+        self.odd = np.zeros(size, signed)
+        self.even = np.zeros(size, signed) if PositivityRule.NON_NEGATIVE in rules else None
+
+    def restore(self, saved: _WalkState) -> None:
+        """Copy `saved`, a state of the same walks' types and rules, into these buffers."""
+        self.k = saved.k
+        for mine, theirs in ((self.up, saved.up), (self.odd, saved.odd), (self.even, saved.even)):
+            if mine is not None:
+                np.copyto(mine, theirs)
+
+
 def _count_walks(steps: Iterable[np.ndarray | int], n: int, size: int,
-                 rules: Sequence[PositivityRule]) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+                 rules: Sequence[PositivityRule],
+                 state: _WalkState | None = None
+                 ) -> tuple[tuple[np.ndarray, ...], np.ndarray] | None:
     """Counts under each of `rules`, and final sums, of `size` walks of n steps.
 
     `steps` yields the 0/1 bits b_k of steps 1..n (set bit = +1), each a
     vector over the walks, best in the unsigned type of `_widths(n)`, or one
-    int shared by all of them.  One pass serves every rule: it keeps t = 2u,
-    twice the up-steps so far, so S_k = t - k, and step k counts under
-    CHUNG_FELLER iff 2u_{k-1} + b_k >= k and under NON_NEGATIVE iff
-    2u_k >= k.  A per-walk step is t += b, the first compare, t += b, the
-    second; a shared step compares with k - b and adds 2b once.  Each
-    compare's flags add up in an int8 tally: the counts themselves when they
-    are int8, else a tally added into the wider counts every `_FLUSH` steps
-    and at the end.
+    int shared by all of them.  Given `state`, the `_WalkState` of the same
+    walks after their first state.k steps, `steps` yields steps state.k + 1
+    onwards and the pass advances the state in place: one that stops short of
+    step n returns None and leaves the state to be resumed, one that reaches
+    step n reads the counts and sums out into the state's own buffers.
+    Chung-Feller counts steps 2j-1 and 2j together, both iff u_{2j-1} >= j,
+    and non-negative counts step k iff 2u_k >= k, which at odd k is the same
+    compare.  So one pass serves every rule: a step is `up += b` and, at odd
+    k and at even k for NON_NEGATIVE, one compare, whose flags add up in an
+    int8 tally (the counts themselves when they are int8, else a tally added
+    into the wider counts every `_FLUSH` steps and at the end of the pass).
     """
-    signed, unsigned = _widths(n)
-    twice_up = np.zeros(size, unsigned)
-    counts = {rule: np.full(size, rule is PositivityRule.NON_NEGATIVE, signed)  # S_0 = 0
-              for rule in rules}
-    tallies = counts if signed is np.int8 else {rule: np.zeros(size, np.int8) for rule in rules}
-    chung_feller = tallies.get(PositivityRule.CHUNG_FELLER)
-    non_negative = tallies.get(PositivityRule.NON_NEGATIVE)
+    if state is None:
+        state = _WalkState(n, size, rules)
+    signed = state.odd.dtype.type
+    up, odd, even = state.up, state.odd, state.even
+    wide = signed is not np.int8  # then the flags add up in int8 tallies of their own
+    if wide:
+        odd, even = np.zeros(size, np.int8), None if even is None else np.zeros(size, np.int8)
     flag = np.empty(size, dtype=bool)
     flag_int = flag.view(np.int8)  # int8 += int8, the fastest numpy add
-    for k, bit in enumerate(steps, 1):
-        if type(bit) is int:  # shared by every walk: 2u_{k-1} + b >= k is t >= k - b
-            if chung_feller is not None:
-                np.greater_equal(twice_up, k - bit, out=flag)
-                chung_feller += flag_int
-            if bit:
-                twice_up += 2
-        else:
-            twice_up += bit
-            if chung_feller is not None:
-                np.greater_equal(twice_up, k, out=flag)
-                chung_feller += flag_int
-            twice_up += bit
-        if non_negative is not None:
-            np.greater_equal(twice_up, k, out=flag)
-            non_negative += flag_int
-        if tallies is not counts and (k % _FLUSH == 0 or k == n):
-            for rule in rules:
-                counts[rule] += tallies[rule]
-                tallies[rule].fill(0)
-    twice_up -= n  # S_n = t - n, read back as signed
-    return tuple(counts[rule] for rule in rules), twice_up.view(signed)
+    k = state.k
+    for k, bit in enumerate(steps, k + 1):
+        if type(bit) is not int or bit:
+            up += bit
+        if k & 1:
+            np.greater_equal(up, (k + 1) >> 1, out=flag)
+            odd += flag_int
+        elif even is not None:
+            np.greater_equal(up, k >> 1, out=flag)
+            even += flag_int
+        if wide and k % _FLUSH == 0:
+            _flush(state, odd, even)
+    if wide:
+        _flush(state, odd, even)
+    state.k = k
+    if k < n:
+        return None
+    if even is not None:  # NN = 1 + odd + even, read out into the even tally's buffer
+        state.even += state.odd
+        state.even += 1
+    if PositivityRule.CHUNG_FELLER in rules:  # CF = 2 odd - [n odd][u_n >= (n+1)/2]
+        state.odd += state.odd
+        if n & 1:
+            state.odd -= np.greater_equal(up, (n + 1) >> 1, out=flag).view(np.int8)
+    up += up
+    up -= n  # S_n = 2u_n - n, read back as signed
+    counts = {PositivityRule.CHUNG_FELLER: state.odd, PositivityRule.NON_NEGATIVE: state.even}
+    return tuple(counts[rule] for rule in rules), up.view(signed)
+
+
+def _flush(state: _WalkState, odd: np.ndarray, even: np.ndarray | None) -> None:
+    """Add the int8 tallies into the state's wider counts, and empty them."""
+    state.odd += odd
+    odd.fill(0)
+    if even is not None:
+        state.even += even
+        even.fill(0)
 
 
 def _enumerate(n: int, rule: PositivityRule) -> WalkStats:
@@ -186,9 +237,18 @@ def _enumerate_rules(n: int) -> dict[PositivityRule, WalkStats]:
     table = _bit_table()[:low, :block]
     key = np.empty(block, dtype=np.int16 if tally.size <= 1 << 15 else np.intp)
     positive = np.zeros(block, dtype=bool)  # pos = [S_{n-1} > 0], never for n < 2
+    prefix = None
+    if n > low:  # steps 1..low are the same table in every block: count them once
+        prefix = _WalkState(n, block, rules)
+        _count_walks(table, n, block, rules, prefix)
+    state = _WalkState(n, block, rules)
     for start in range(0, 1 << n, block):
-        bits = [*table, *((start >> k) & 1 for k in range(low, n))]
-        (cf, nn), sums = _count_walks(bits, n, block, rules)
+        if prefix is None:  # one block, every step in the table
+            bits = [*table]
+        else:  # each block's walks resume from their own slots of the prefix
+            state.restore(prefix)
+            bits = [(start >> k) & 1 for k in range(low, n)]
+        (cf, nn), sums = _count_walks(bits, n, block, rules, state)
         np.multiply(cf, width, out=key, dtype=key.dtype)  # on the int8 counts it would wrap
         key += nn
         key <<= 1

@@ -44,6 +44,24 @@ def test_legendre_builds_no_law():
     assert imported and not any("distributions" in name.split(".") for name in imported)
 
 
+def test_oracle_imports_no_other_route():
+    # enumeration stays an independent route: of the package it imports only errors
+    # and distributions.Distribution, no closed law, series, lattice or qpoly
+    tree = ast.parse((Path(coinwalk.__file__).parent / "oracle.py").read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module == "coinwalk"
+                                                 or node.module.startswith("coinwalk.")):
+            module = (node.module or "").removeprefix("coinwalk").lstrip(".")
+            imported += [f"{module}.{alias.name}".lstrip(".") for alias in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [alias.name.removeprefix("coinwalk.") for alias in node.names
+                         if alias.name.split(".")[0] == "coinwalk"]
+    assert imported
+    assert all(name.split(".")[0] == "errors" or name == "distributions.Distribution"
+               for name in imported), imported
+
+
 @pytest.mark.parametrize("call", [
     lambda: QPoly.q().shift(-1),  # was q
     lambda: QPoly.one().shift(-2),

@@ -107,19 +107,64 @@ class TestCountingKernel:
         assert sums.tolist() == [0]
         assert counts.tolist() == [count_positive(steps, rule)] == [expected]
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 160).flatmap(bit_rows), st.sampled_from([(CF,), (NN,), (CF, NN)]),
+           st.booleans())
+    def test_resumed_pass_equals_one_pass(self, walks, rules, share):
+        # a pass resumed after any j < n steps ends where one pass over all n steps
+        # does, types and int8 flushes included; a pass short of step n returns None
+        n, rows = walks
+        steps = list(step_bits(rows, n, share))
+        whole, whole_sums = _count_walks(steps, n, len(rows), rules)
+        for j in range(n):
+            state = oracle._WalkState(n, len(rows), rules)
+            assert _count_walks(steps[:j], n, len(rows), rules, state) is None
+            assert state.k == j
+            assert state.up.tolist() == [sum(row[:j]) for row in rows]
+            counts, sums = _count_walks(steps[j:], n, len(rows), rules, state)
+            assert [c.tolist() for c in counts] == [c.tolist() for c in whole]
+            assert sums.tolist() == whole_sums.tolist()
+            assert [c.dtype for c in counts] == [c.dtype for c in whole]
+            assert sums.dtype == whole_sums.dtype
+
     @pytest.mark.parametrize("n", [0, 1, 5, 16, 17, 18])
-    def test_one_pass_per_block_for_both_rules(self, monkeypatch, n):
+    def test_table_steps_once_then_one_resumed_pass_per_block(self, monkeypatch, n):
+        # up to 16 steps: one pass over every step; past them, one pass over the
+        # table's 16 steps, then each block resumes from it with only its high steps
         calls = []
 
-        def counting(*args):
-            calls.append(args)
-            return _count_walks(*args)
+        def counting(steps, length, size, rules, state=None):
+            steps = list(steps)
+            calls.append((len(steps), length, size, rules, None if state is None else state.k))
+            return _count_walks(steps, length, size, rules, state)
 
         monkeypatch.setattr(oracle, "_count_walks", counting)
         oracle._enumerate_rules.cache_clear()
         cf, nn = enumerate_walks(n, CF), enumerate_walks(n, NN)
-        assert len(calls) == max(1, 2**n // oracle._BLOCK)
+        size = min(2**n, oracle._BLOCK)
+        if n <= 16:
+            assert calls == [(n, n, size, (CF, NN), 0)]
+        else:
+            assert calls == ([(16, n, size, (CF, NN), 0)]
+                             + [(n - 16, n, size, (CF, NN), 16)] * 2 ** (n - 16))
         assert cf.rule is CF and nn.rule is NN
+
+    @pytest.mark.parametrize("n", [17, 18])
+    def test_resumed_blocks_match_fresh_blocks(self, n):
+        # the reference counts every block from fresh state over all n steps
+        width = n + 2
+        tally = np.zeros((width, width, 2), dtype=np.int64)
+        table = oracle._bit_table()
+        for start in range(0, 1 << n, oracle._BLOCK):
+            bits = [*table, *((start >> k) & 1 for k in range(16, n))]
+            (cf, nn), sums = _count_walks(bits, n, oracle._BLOCK, (CF, NN))
+            positive = (sums >= 2 * bits[-1]).astype(np.intp)  # S_{n-1} > 0
+            np.add.at(tally, (cf.astype(np.intp), nn.astype(np.intp), positive), 1)
+        stats = oracle._enumerate_rules(n)
+        assert stats[CF].count_hist == tuple(tally.sum(axis=(1, 2)).tolist())
+        assert stats[CF].joint_pos == tuple(tally[:, :, 1].sum(axis=1).tolist())
+        assert stats[NN].count_hist == tuple(tally.sum(axis=(0, 2)).tolist())
+        assert stats[NN].joint_pos == tuple(tally[:, :, 1].sum(axis=0).tolist())
 
     def test_bit_table_matches_plain_bits(self):
         table = oracle._bit_table()

@@ -298,6 +298,19 @@ class TestRunVerify:
             for k in range(max_n // 2 + 1):
                 assert got["legendre", 2 * k] is got["legendre-two-route", k]
 
+    @pytest.mark.parametrize("sections", ["all", "legendre"])
+    def test_far_two_route_rows_hold_the_table_entry(self, monkeypatch, sections):
+        # a law built for one two-route row alone is not kept beside its equal table entry
+        tables = []
+        monkeypatch.setattr("coinwalk.verify.legendre_pgf_table",
+                            lambda n: tables.append(legendre_pgf_table(n)) or tables[-1])
+        report = run_verify(max_n=10, sections=sections, cap=8)
+        assert report.passed and len(tables) == 1
+        rows = [row for row in report.rows if row.route == "legendre-two-route"]
+        assert [row.n for row in rows] == list(range(11))
+        shared = 10 // 2 + 3 if sections == "all" else 0  # E_0..E_7, built for the parity rows
+        assert all(row.got is tables[0][row.n] for row in rows[shared:])
+
     @pytest.mark.parametrize("sections", SECTIONS)
     def test_series_built_only_as_far_as_compared(self, monkeypatch, sections):
         built = {"even": [], "odd-ratio": []}
