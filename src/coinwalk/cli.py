@@ -4,7 +4,9 @@ Value tables use the fixed columns n, index, exact, decimal.  The exact column
 is the reduced fraction num/den, formatted straight from the integer storage
 of the law or polynomial; the decimal column (15 significant digits) exists
 only for plotting, and prints inf or -inf for a value beyond float range.
-Exit codes: 0 success, 1 verification mismatch, 2 usage error.
+Exit codes: 0 success; 1 verification mismatch, including an exact identity
+whose division leaves a remainder; 2 usage error, including a size past this
+machine's memory or index range.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .distributions import _counts, conditional_positive, law, pgf
-from .errors import CoinwalkError
+from .errors import CoinwalkError, InexactDivision
 from .lattice import dp_pgf
 from .legendre import lagrange_series
 from .montecarlo import SimConfig, arcsine_sup_distance, simulate, tv_distance
@@ -71,8 +73,8 @@ def _exact(num: int, den: int, dens: dict[int, str]) -> str:
     return f"{num}/{text}"
 
 
-def _report_rows(rows: Iterable[ReportRow]) -> Iterable[dict]:
-    """Verify rows as route, n, payload, status dicts; a payload is got zero-padded to size.
+def _report_rows(rows: Iterable[ReportRow]) -> Iterable[tuple]:
+    """Verify rows as (route, n, payload, status); a payload is got zero-padded to size.
 
     Agreeing routes of one length print the same payload, so each distinct
     (got, size) is rendered once, for this report only.
@@ -86,7 +88,7 @@ def _report_rows(rows: Iterable[ReportRow]) -> Iterable[dict]:
             nums, den = row.got.numerators
             payload = payloads[key] = ",".join(
                 [_exact(c, den, dens) for c in nums] + ["0"] * (row.size - len(nums)))
-        yield {"route": row.route, "n": row.n, "payload": payload, "status": row.status}
+        yield row.route, row.n, payload, row.status
 
 
 def _dec(num: int, den: int) -> str:
@@ -100,16 +102,18 @@ def _dec(num: int, den: int) -> str:
         return "inf" if num > 0 else "-inf"
 
 
-def _emit(rows: Iterable[dict], fieldnames: list[str], fmt: str):
-    if fmt == "json":  # json.dumps(list(rows)), one row at a time
+def _emit(header: tuple[str, ...], rows: Iterable[tuple], fmt: str):
+    """Emit `rows`, tuples in `header`'s column order, as csv or as a json list of objects."""
+    if fmt == "json":  # json.dumps([dict(zip(header, row)) for row in rows]), a row at a time
         write = sys.stdout.write
         write("[")
         for i, row in enumerate(rows):
-            write(", " + json.dumps(row) if i else json.dumps(row))
+            text = json.dumps(dict(zip(header, row)))
+            write(", " + text if i else text)
         write("]\n")
     else:
-        writer = csv.DictWriter(sys.stdout, fieldnames=fieldnames)
-        writer.writeheader()
+        writer = csv.writer(sys.stdout)
+        writer.writerow(header)
         writer.writerows(rows)
 
 
@@ -122,12 +126,11 @@ def _emit_values(tables, fmt: str):
         for j, c in enumerate(nums or (0,))  # () is the zero polynomial: row n,0,0,0
     )
     if fmt == "json":
-        keys = ["n", "index", "exact", "decimal"]
-        _emit((dict(zip(keys, row)) for row in rows), keys, fmt)
+        _emit(("n", "index", "exact", "decimal"), rows, fmt)
         return
     write = sys.stdout.write
     write("n,index,exact,decimal\r\n")
-    for row in rows:  # no field holds a comma, quote, CR or LF: csv.DictWriter's bytes
+    for row in rows:  # no field holds a comma, quote, CR or LF: csv.writer's bytes
         write("%s,%s,%s,%s\r\n" % row)
 
 
@@ -195,17 +198,11 @@ def cmd_oracle(args) -> int:
 
 def cmd_conditional(args) -> int:
     oracle = oracle_conditional(args.n, cap=args.cap)
-    rows = []
-    for r, value in enumerate(oracle):
-        formula = conditional_positive(args.n, r)
-        rows.append({
-            "r": r,
-            "oracle": str(value),
-            "formula": str(formula),
-            "equal": value == formula,
-        })
-    _emit(rows, ["r", "oracle", "formula", "equal"], args.format)
-    return 0 if all(row["equal"] for row in rows) else 1
+    formulas = [conditional_positive(args.n, r) for r in range(len(oracle))]
+    _emit(("r", "oracle", "formula", "equal"),
+          ((r, str(o), str(f), o == f) for r, (o, f) in enumerate(zip(oracle, formulas))),
+          args.format)
+    return 0 if list(oracle) == formulas else 1
 
 
 def cmd_lagrange(args) -> int:
@@ -213,22 +210,17 @@ def cmd_lagrange(args) -> int:
     if args.format == "text":
         print(",".join(str(c) for c in coeffs))
         return 0
-    rows = [
-        {"index": m, "exact": str(c), "decimal": _dec(c.numerator, c.denominator)}
-        for m, c in enumerate(coeffs)
-    ]
-    _emit(rows, ["index", "exact", "decimal"], args.format)
+    _emit(("index", "exact", "decimal"),
+          ((m, str(c), _dec(c.numerator, c.denominator)) for m, c in enumerate(coeffs)),
+          args.format)
     return 0
 
 
 def cmd_simulate(args) -> int:
     cfg = SimConfig(m=args.m, samples=args.samples, seed=args.seed, rule=_RULES[args.rule])
     hist = simulate(cfg)
-    rows = [
-        {"index": j, "count": c, "freq": _dec(c, args.samples)}
-        for j, c in enumerate(hist)
-    ]
-    _emit(rows, ["index", "count", "freq"], args.format)
+    _emit(("index", "count", "freq"),
+          ((j, c, _dec(c, args.samples)) for j, c in enumerate(hist)), args.format)
     if cfg.rule is PositivityRule.CHUNG_FELLER:
         notes = []
         if args.m > 0:  # count/m is undefined for the empty walk
@@ -249,7 +241,7 @@ def cmd_verify(args) -> int:
         verdict = "PASS" if report.passed else "FAIL"
         print(f"verify: {verdict} ({len(report.rows)} checks)")
     else:
-        _emit(_report_rows(report.rows), ["route", "n", "payload", "status"], args.format)
+        _emit(("route", "n", "payload", "status"), _report_rows(report.rows), args.format)
     unchecked = report.unchecked if report.rows else (args.sections,)
     if unchecked:
         print(f"error: no comparison made by {', '.join(unchecked)}", file=sys.stderr)
@@ -376,9 +368,9 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         sys.set_int_max_str_digits(0)  # exact columns print integers of any length
         return args.func(args)
-    except CoinwalkError as exc:
+    except (CoinwalkError, OverflowError) as exc:  # OverflowError: a size past the index range
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, InexactDivision) else 2  # a failed identity: disagreement
     except MemoryError as exc:  # a size past this machine's memory; exit 1 means disagreement
         print(f"error: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
         return 2

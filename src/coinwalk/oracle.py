@@ -4,18 +4,20 @@ Deliberately dumb: every one of the 2^n paths is evaluated on its own, with
 no combinatorial shortcuts, so this module stays a trustworthy oracle for the
 closed forms.  Paths are ids 0..2^n-1, bit k giving the sign of step k+1
 (set bit = +1), and the cap is the only limit on n.  One step-major kernel,
-`_count_walks`, counts a tuple of rules in a single pass: per walk of a block
-it keeps u, the up-steps so far, and the tallies the rules are read from, on
-the narrowest type that cannot overflow, and updates them at every step; it
-also counts the Monte Carlo walks.  Enumeration runs every path of each
-2^16-path block through it, steps up to 16 from a bit table of the ids built
-once per process, each higher step as one int for the block.  Those 16 table
-steps are the same in every block, so past 16 steps the kernel runs them
-once per n and every block resumes from that state, restored into its own
-buffers: each path is still counted in its own slot, step by step, from its
-own bits.  One bincount per block tallies the joint key
-(cf * (n+2) + nn) * 2 + [S_{n-1} > 0], summed down to each rule's WalkStats
-at the end.  `count_positive` is the plain per-path reference both routes
+`_WalkState`, counts a tuple of rules in a single pass: per walk of a block it
+keeps u, the up-steps so far, and the tallies the rules are read from, on the
+narrowest type that cannot overflow; `advance` updates them at every step and
+`read` reads the counts out.  `_count_walks`, a fresh state advanced over
+every step and read, also counts the Monte Carlo walks.  Enumeration runs
+every path of each 2^16-path block through it, steps up to 16 from a bit table
+of the ids built once per process, each higher step as one int for the block.
+Those table steps are the same in every block, so one loop serves every n:
+the kernel advances them once per n, and each block restores that state into
+its own buffers (up to 16 steps, the one block's state is that state itself)
+and advances it by the block's high steps: each path is still counted in its
+own slot, step by step, from its own bits.  One bincount per block tallies the
+joint key (cf * (n+2) + nn) * 2 + [S_{n-1} > 0], summed down to each rule's
+WalkStats at the end.  `count_positive` is the plain per-path reference both routes
 are tested with.
 
 Two counting rules, with u_k the up-steps among the first k, so S_k = 2u_k - k:
@@ -23,7 +25,7 @@ Two counting rules, with u_k the up-steps among the first k, so S_k = 2u_k - k:
 * CHUNG_FELLER - count k in 1..n with S_k > 0, or S_k = 0 and S_{k-1} > 0.
   S is odd at odd k, so steps 2j-1 and 2j count together, both iff
   S_{2j-1} > 0, i.e. u_{2j-1} >= j; only an odd n leaves its last step
-  unpaired.  `_count_walks` tallies the odd steps that count and doubles
+  unpaired.  The kernel tallies the odd steps that count and doubles
   the tally, `count_positive` applies the rule as written.
 * NON_NEGATIVE - count k in 0..n with S_k >= 0, i.e. 2u_k >= k, the same
   compare as above at odd k.  The k = 0 term always counts (S_0 = 0), so
@@ -122,9 +124,8 @@ class _WalkState:
     `up` holds u_k, the up-steps so far, in the unsigned type of `_widths(n)`.
     `odd` counts, in the signed type, the odd steps j <= k with u_j >= (j+1)/2,
     and `even`, kept only for NON_NEGATIVE, the even steps j <= k with
-    u_j >= j/2.  `_count_walks` starts from fresh state or resumes from one,
-    and the pass that reaches step n reads the counts and sums out into these
-    buffers.
+    u_j >= j/2.  `advance` runs further steps in place; `read` reads the
+    counts and sums at k out into these buffers, after which the state is spent.
     """
 
     def __init__(self, n: int, size: int, rules: Sequence[PositivityRule]):
@@ -134,80 +135,78 @@ class _WalkState:
         self.odd = np.zeros(size, signed)
         self.even = np.zeros(size, signed) if PositivityRule.NON_NEGATIVE in rules else None
 
-    def restore(self, saved: _WalkState) -> None:
+    def restore(self, saved: _WalkState) -> _WalkState:
         """Copy `saved`, a state of the same walks' types and rules, into these buffers."""
         self.k = saved.k
         for mine, theirs in ((self.up, saved.up), (self.odd, saved.odd), (self.even, saved.even)):
             if mine is not None:
                 np.copyto(mine, theirs)
+        return self
+
+    def advance(self, steps: Iterable[np.ndarray | int]) -> _WalkState:
+        """Run steps k+1 onwards in place.
+
+        `steps` yields their 0/1 bits (set bit = +1), each a vector over the
+        walks, best in the unsigned type of `_widths(n)`, or one int shared by
+        all of them.  Chung-Feller counts steps 2j-1 and 2j together, both iff
+        u_{2j-1} >= j, and non-negative counts step k iff 2u_k >= k, which at
+        odd k is the same compare.  So one pass serves every rule: a step is
+        `up += b` and, at odd k and at even k for NON_NEGATIVE, one compare,
+        whose flags add up in an int8 tally (the counts themselves when they
+        are int8, else a tally added into the wider counts every `_FLUSH`
+        steps and at the end of the pass).
+        """
+        up, odd, even, size = self.up, self.odd, self.even, self.up.size
+        wide = odd.dtype.type is not np.int8  # then the flags add up in int8 tallies of their own
+        if wide:
+            odd, even = np.zeros(size, np.int8), None if even is None else np.zeros(size, np.int8)
+        flag = np.empty(size, dtype=bool)
+        flag_int = flag.view(np.int8)  # int8 += int8, the fastest numpy add
+        k = self.k
+        for k, bit in enumerate(steps, k + 1):
+            if type(bit) is not int or bit:
+                up += bit
+            if k & 1:
+                np.greater_equal(up, (k + 1) >> 1, out=flag)
+                odd += flag_int
+            elif even is not None:
+                np.greater_equal(up, k >> 1, out=flag)
+                even += flag_int
+            if wide and k % _FLUSH == 0:
+                self._flush(odd, even)
+        if wide:
+            self._flush(odd, even)
+        self.k = k
+        return self
+
+    def _flush(self, odd: np.ndarray, even: np.ndarray | None) -> None:
+        """Add the int8 tallies into the wider counts, and empty them."""
+        self.odd += odd
+        odd.fill(0)
+        if even is not None:
+            self.even += even
+            even.fill(0)
+
+    def read(self, rules: Sequence[PositivityRule]) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+        """Counts under each of `rules`, and sums S_k, of the walks after k steps."""
+        k = self.k
+        if self.even is not None:  # NN = 1 + odd + even, read out into the even tally's buffer
+            self.even += self.odd
+            self.even += 1
+        if PositivityRule.CHUNG_FELLER in rules:  # CF = 2 odd - [k odd][u_k >= (k+1)/2]
+            self.odd += self.odd
+            if k & 1:
+                self.odd -= np.greater_equal(self.up, (k + 1) >> 1).view(np.int8)
+        self.up += self.up
+        self.up -= k  # S_k = 2u_k - k, read back as signed
+        counts = {PositivityRule.CHUNG_FELLER: self.odd, PositivityRule.NON_NEGATIVE: self.even}
+        return tuple(counts[rule] for rule in rules), self.up.view(self.odd.dtype)
 
 
 def _count_walks(steps: Iterable[np.ndarray | int], n: int, size: int,
-                 rules: Sequence[PositivityRule],
-                 state: _WalkState | None = None
-                 ) -> tuple[tuple[np.ndarray, ...], np.ndarray] | None:
-    """Counts under each of `rules`, and final sums, of `size` walks of n steps.
-
-    `steps` yields the 0/1 bits b_k of steps 1..n (set bit = +1), each a
-    vector over the walks, best in the unsigned type of `_widths(n)`, or one
-    int shared by all of them.  Given `state`, the `_WalkState` of the same
-    walks after their first state.k steps, `steps` yields steps state.k + 1
-    onwards and the pass advances the state in place: one that stops short of
-    step n returns None and leaves the state to be resumed, one that reaches
-    step n reads the counts and sums out into the state's own buffers.
-    Chung-Feller counts steps 2j-1 and 2j together, both iff u_{2j-1} >= j,
-    and non-negative counts step k iff 2u_k >= k, which at odd k is the same
-    compare.  So one pass serves every rule: a step is `up += b` and, at odd
-    k and at even k for NON_NEGATIVE, one compare, whose flags add up in an
-    int8 tally (the counts themselves when they are int8, else a tally added
-    into the wider counts every `_FLUSH` steps and at the end of the pass).
-    """
-    if state is None:
-        state = _WalkState(n, size, rules)
-    signed = state.odd.dtype.type
-    up, odd, even = state.up, state.odd, state.even
-    wide = signed is not np.int8  # then the flags add up in int8 tallies of their own
-    if wide:
-        odd, even = np.zeros(size, np.int8), None if even is None else np.zeros(size, np.int8)
-    flag = np.empty(size, dtype=bool)
-    flag_int = flag.view(np.int8)  # int8 += int8, the fastest numpy add
-    k = state.k
-    for k, bit in enumerate(steps, k + 1):
-        if type(bit) is not int or bit:
-            up += bit
-        if k & 1:
-            np.greater_equal(up, (k + 1) >> 1, out=flag)
-            odd += flag_int
-        elif even is not None:
-            np.greater_equal(up, k >> 1, out=flag)
-            even += flag_int
-        if wide and k % _FLUSH == 0:
-            _flush(state, odd, even)
-    if wide:
-        _flush(state, odd, even)
-    state.k = k
-    if k < n:
-        return None
-    if even is not None:  # NN = 1 + odd + even, read out into the even tally's buffer
-        state.even += state.odd
-        state.even += 1
-    if PositivityRule.CHUNG_FELLER in rules:  # CF = 2 odd - [n odd][u_n >= (n+1)/2]
-        state.odd += state.odd
-        if n & 1:
-            state.odd -= np.greater_equal(up, (n + 1) >> 1, out=flag).view(np.int8)
-    up += up
-    up -= n  # S_n = 2u_n - n, read back as signed
-    counts = {PositivityRule.CHUNG_FELLER: state.odd, PositivityRule.NON_NEGATIVE: state.even}
-    return tuple(counts[rule] for rule in rules), up.view(signed)
-
-
-def _flush(state: _WalkState, odd: np.ndarray, even: np.ndarray | None) -> None:
-    """Add the int8 tallies into the state's wider counts, and empty them."""
-    state.odd += odd
-    odd.fill(0)
-    if even is not None:
-        state.even += even
-        even.fill(0)
+                 rules: Sequence[PositivityRule]) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """Counts under each of `rules`, and final sums, of `size` walks of n steps, in one pass."""
+    return _WalkState(n, size, rules).advance(steps).read(rules)
 
 
 def _enumerate(n: int, rule: PositivityRule) -> WalkStats:
@@ -237,23 +236,18 @@ def _enumerate_rules(n: int) -> dict[PositivityRule, WalkStats]:
     table = _bit_table()[:low, :block]
     key = np.empty(block, dtype=np.int16 if tally.size <= 1 << 15 else np.intp)
     positive = np.zeros(block, dtype=bool)  # pos = [S_{n-1} > 0], never for n < 2
-    prefix = None
-    if n > low:  # steps 1..low are the same table in every block: count them once
-        prefix = _WalkState(n, block, rules)
-        _count_walks(table, n, block, rules, prefix)
-    state = _WalkState(n, block, rules)
+    # steps 1..low are the same table in every block: count them once; past
+    # them each block's walks resume from their own slots of that prefix
+    prefix = _WalkState(n, block, rules).advance(table)
+    state = prefix if n == low else _WalkState(n, block, rules)
     for start in range(0, 1 << n, block):
-        if prefix is None:  # one block, every step in the table
-            bits = [*table]
-        else:  # each block's walks resume from their own slots of the prefix
-            state.restore(prefix)
-            bits = [(start >> k) & 1 for k in range(low, n)]
-        (cf, nn), sums = _count_walks(bits, n, block, rules, state)
+        high = [(start >> k) & 1 for k in range(low, n)]
+        (cf, nn), sums = state.restore(prefix).advance(high).read(rules)
         np.multiply(cf, width, out=key, dtype=key.dtype)  # on the int8 counts it would wrap
         key += nn
         key <<= 1
         if n >= 2:  # S_{n-1} = S_n - 2b_n + 1 > 0 iff S_n >= 2b_n
-            np.greater_equal(sums, 2 * bits[-1], out=positive)
+            np.greater_equal(sums, 2 * (high or table)[-1], out=positive)
         key += positive
         tally += np.bincount(key, minlength=tally.size).reshape(tally.shape)
     return {rule: WalkStats(n=n, rule=rule, count_hist=tuple(int(c) for c in joint.sum(axis=1)),

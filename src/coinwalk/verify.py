@@ -232,15 +232,16 @@ def run_verify(max_n: int = 12, order: int | None = None, sections: str = "all",
     evens: list[QPoly] = []  # E_k = pgf(law(2k)): one object per k, shared by its rows
     # every series is built once, only as far as a compared row reads: z^max_n
     order = min(max_n + 1 if order is None else order, max_n + 1)
-    legendre_table = (legendre_pgf_table(max_n // 2 if sections == "even" else max_n)
-                      if sections in ("all", "even", "legendre") else None)
+    legendre_table = legendre_pgf_table(max_n) if sections == "legendre" else None
     if sections in ("all", "even", "odd"):
         dp_table = dp_pgf_table(max_n)
         even = pgf_series_even(order + 1)
         odd = _odd_from_even(even)
-        # every E_k a parity row or an odd identity reads (k <= max_n // 2 + 2),
-        # built after the DP so that it is not held under the DP's peak
+        # every E_k a parity row or an odd identity reads (k <= max_n // 2 + 2), and
+        # then the Legendre table, built after the DP so that neither is held under its peak
         evens = [pgf(law(2 * k)) for k in range(max_n // 2 + 3)]
+        if sections != "odd":
+            legendre_table = legendre_pgf_table(max_n // 2 if sections == "even" else max_n)
         for name, parity in (("even", 0), ("odd", 1)):
             if sections in ("all", name):
                 rows.extend(_check_parity(max_n, order, cap, parity, dp_table, legendre_table,

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 import coinwalk
 from coinwalk import cli
 from coinwalk.cli import _SERIES_BUILDERS, _dec, _exact, main
-from coinwalk.distributions import law
+from coinwalk.distributions import Distribution, law
 from coinwalk.qpoly import QPoly
 from coinwalk.verify import QUARANTINED, SECTIONS, ReportRow, VerifyReport, run_verify
 
@@ -463,6 +463,17 @@ class TestUsageErrors:
         assert out == ""
         assert err == "error: out of memory\n"
 
+    def test_failed_identity_is_a_disagreement(self, capsys, monkeypatch):
+        # a law(4) with 1/8 of its mass moved from N = 0 to N = 2 is still a law, but
+        # breaks the three-term identity's exact division: exit 1, not a usage error
+        monkeypatch.setattr("coinwalk.verify.law", lambda m: Distribution.from_counts(
+            (2, 0, 3, 0, 3), 8) if m == 4 else law(m))
+        code, out, err = run(capsys, "verify", "--max-n", "6")
+        assert code == 1
+        assert out == ""
+        assert err == ("error: (1 + 3 q + 7/2 q^2 + 3 q^3 + 3/2 q^4) is not divisible by "
+                       "(1 + q + q^2 + q^3); remainder -1/2 + 1/2 q^2\n")
+
     def test_unknown_command(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
@@ -562,6 +573,21 @@ class TestNoTraceback:
                            and row["route"] not in QUARANTINED for row in json.loads(out))
             else:
                 assert any(row["equal"] == "False" for row in parse_csv(out))
+
+    @pytest.mark.parametrize("argv", [
+        ["dist", "--n", str(2**63)],
+        ["pgf", "--n", str(2**63)],
+        ["pgf", "--n", str(2**63), "--method", "closed"],
+        ["pgf", "--n", str(2**63), "--method", "series"],
+        ["series", "--order", str(2**63)],
+        ["pgf", "--n", str(10**20), "--method", "dp"],
+    ], ids=" ".join)
+    def test_size_past_index_range(self, capsys, argv):
+        # OverflowError from a size no index can hold is a usage error, not a disagreement
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 _SMALL = st.integers(0, 70).map(str)

@@ -111,17 +111,17 @@ class TestCountingKernel:
     @given(st.integers(0, 160).flatmap(bit_rows), st.sampled_from([(CF,), (NN,), (CF, NN)]),
            st.booleans())
     def test_resumed_pass_equals_one_pass(self, walks, rules, share):
-        # a pass resumed after any j < n steps ends where one pass over all n steps
-        # does, types and int8 flushes included; a pass short of step n returns None
+        # a state advanced over any first j <= n steps, then over the rest, reads
+        # what one pass over all n steps does, types and int8 flushes included
         n, rows = walks
         steps = list(step_bits(rows, n, share))
         whole, whole_sums = _count_walks(steps, n, len(rows), rules)
-        for j in range(n):
-            state = oracle._WalkState(n, len(rows), rules)
-            assert _count_walks(steps[:j], n, len(rows), rules, state) is None
+        for j in range(n + 1):
+            state = oracle._WalkState(n, len(rows), rules).advance(steps[:j])
             assert state.k == j
             assert state.up.tolist() == [sum(row[:j]) for row in rows]
-            counts, sums = _count_walks(steps[j:], n, len(rows), rules, state)
+            assert state.advance(steps[j:]).k == n
+            counts, sums = state.read(rules)
             assert [c.tolist() for c in counts] == [c.tolist() for c in whole]
             assert sums.tolist() == whole_sums.tolist()
             assert [c.dtype for c in counts] == [c.dtype for c in whole]
@@ -129,24 +129,33 @@ class TestCountingKernel:
 
     @pytest.mark.parametrize("n", [0, 1, 5, 16, 17, 18])
     def test_table_steps_once_then_one_resumed_pass_per_block(self, monkeypatch, n):
-        # up to 16 steps: one pass over every step; past them, one pass over the
-        # table's 16 steps, then each block resumes from it with only its high steps
+        # one loop for every n: the table's min(n, 16) steps are advanced once, then
+        # each block advances by its n - min(n, 16) high steps and is read; up to 16
+        # steps, the one block reads the prefix state itself
         calls = []
 
-        def counting(steps, length, size, rules, state=None):
-            steps = list(steps)
-            calls.append((len(steps), length, size, rules, None if state is None else state.k))
-            return _count_walks(steps, length, size, rules, state)
+        class Recording(oracle._WalkState):
+            def __init__(self, length, size, rules):
+                calls.append(("new", length, size, rules))
+                super().__init__(length, size, rules)
 
-        monkeypatch.setattr(oracle, "_count_walks", counting)
+            def advance(self, steps):
+                steps = list(steps)
+                calls.append(("advance", self.k, len(steps), self.up.size))
+                return super().advance(steps)
+
+            def read(self, rules):
+                calls.append(("read", self.k, rules))
+                return super().read(rules)
+
+        monkeypatch.setattr(oracle, "_WalkState", Recording)
         oracle._enumerate_rules.cache_clear()
         cf, nn = enumerate_walks(n, CF), enumerate_walks(n, NN)
-        size = min(2**n, oracle._BLOCK)
-        if n <= 16:
-            assert calls == [(n, n, size, (CF, NN), 0)]
-        else:
-            assert calls == ([(16, n, size, (CF, NN), 0)]
-                             + [(n - 16, n, size, (CF, NN), 16)] * 2 ** (n - 16))
+        low, size = min(n, 16), min(2**n, oracle._BLOCK)
+        new = ("new", n, size, (CF, NN))
+        block = [("advance", low, n - low, size), ("read", n, (CF, NN))]
+        prefix = [new, ("advance", 0, low, size)]
+        assert calls == prefix + ([] if n <= 16 else [new]) + block * 2 ** (n - low)
         assert cf.rule is CF and nn.rule is NN
 
     @pytest.mark.parametrize("n", [17, 18])

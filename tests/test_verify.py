@@ -36,7 +36,7 @@ def rows_by_route(report, route):
 
 def payload(row):
     """The row's payload as the csv and json writers print it."""
-    return next(_report_rows([row]))["payload"]
+    return next(_report_rows([row]))[2]
 
 
 class TestReportMechanics:
@@ -297,6 +297,24 @@ class TestRunVerify:
             got = {(row.route, row.n): row.got for row in report.rows}
             for k in range(max_n // 2 + 1):
                 assert got["legendre", 2 * k] is got["legendre-two-route", k]
+
+    @pytest.mark.parametrize("sections", ["all", "even"])
+    def test_legendre_table_built_after_the_dp(self, monkeypatch, sections):
+        # the table is not held under the DP's peak: the DP, the even series and the
+        # shared even laws come first
+        calls = []
+
+        def recorded(name, build):
+            return lambda n: calls.append(name) or build(n)
+
+        for name, build in (("dp_pgf_table", dp_pgf_table), ("pgf_series_even", pgf_series_even),
+                            ("law", law), ("legendre_pgf_table", legendre_pgf_table)):
+            monkeypatch.setattr(f"coinwalk.verify.{name}", recorded(name, build))
+        assert run_verify(max_n=9, sections=sections, cap=8).passed
+        evens = ["law"] * (9 // 2 + 3)
+        assert calls[:len(evens) + 3] == ["dp_pgf_table", "pgf_series_even", *evens,
+                                          "legendre_pgf_table"]
+        assert calls.count("legendre_pgf_table") == 1
 
     @pytest.mark.parametrize("sections", ["all", "legendre"])
     def test_far_two_route_rows_hold_the_table_entry(self, monkeypatch, sections):
