@@ -377,6 +377,11 @@ class TestPinnedOutput:
         "series --which odd --order 3": "133c7554a9fb389e",
         "oracle --n 9 --rule nonneg --format json": "b5ef758075122a0a",
         "simulate --m 24 --samples 1000 --seed 7": "e271be0c03fcc3ae",
+        # the simulate benchmark's two argvs, and an odd length under the
+        # non-negative rule whose last block is partial
+        "simulate --m 1000 --samples 200000 --seed 1": "2439bcb6fae05034",
+        "simulate --m 24 --samples 100000 --seed 1": "d4a2786d4f0a8ddf",
+        "simulate --m 1001 --samples 70000 --seed 5 --rule nonneg": "c221b3c673e1d056",
         "lagrange --a 1 --b 1/2 --order 6 --format csv": "12b9e8997af230d9",
         # every series builder, far enough out that each engine op is exercised
         "series --which csaki --order 60": "0938195ab8e7ffea",
