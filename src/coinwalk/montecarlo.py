@@ -19,19 +19,28 @@ bit = +1.  Because every word is addressed absolutely, the histogram is
 bit-identical no matter how the sample range is partitioned into blocks,
 so any internal or concurrent blocking is invisible.
 
-`simulate` counts with the enumeration module's step-major kernel, `_BLOCK`
-(2^16) walks at a time, each block from fresh state in one pass.  The kernel
-adds step k's bits into each walk's up-step count u_k, and compares u_k with
-(k+1)/2 at odd k only, since Chung-Feller steps 2j-1 and 2j count together
-(at even k too under the non-negative rule).  Word column t of a block
-(word t of every walk) is made just before steps 64t+1..64t+64 and
-transposed to 64 / w rows of the kernel's w-bit unsigned type
-(`oracle._widths(m)`; four uint16 rows for m = 1000), so step k of every
-walk is bit (k-1) % w of row ((k-1) % 64) // w, shifted and masked into one
-reused buffer of that type.  Bits in the
-kernel's own width, and its int8 flag tallies, keep every per-step numpy
-call a same-type loop.  A block holds one word column and its counters, so
-its memory does not grow with m.
+`simulate` counts with the enumeration module's kernel, `_BLOCK` (2^16)
+walks at a time, each block from fresh state in one pass.  The kernel's unit
+is the pair of steps (2j, 2j+1), j = 0..m // 2, with steps 0 and m+1 virtual
+zero bits: it adds the pair's bits into each walk's up-step count u, and
+compares u with j+1 after them, since Chung-Feller steps 2j+1 and 2j+2 count
+together (and u with j between them under the non-negative rule).  So a
+Chung-Feller block feeds each pair as (0, f_j), f_j = b_2j + b_2j+1 its
+up-count, and a non-negative block as its two bits.
+Word column t of a block (word t of every walk) is made just before the
+pairs it holds, into buffers the block allocates once.  The stream is read
+shifted up one bit, W'_t = (W_t << 1) | (W_{t-1} >> 63) with W_{-1} = 0, so
+bit i of W'_t is step 64t + i and pair j sits at bits 2j, 2j+1 of
+W'_{j // 32}; bits past step m are zeroed.  For Chung-Feller one SWAR add,
+(W' & 0x55..55) + ((W' >> 1) & 0x55..55), turns every pair into a 2-bit
+field holding f_j.  The column is then transposed to 64 / w rows of the
+kernel's w-bit unsigned type (`oracle._widths(m)`; four uint16 rows for
+m = 1000), and each pair's field is shifted and masked out of its row into
+a reused buffer of that type.  A Chung-Feller pair thus costs five numpy
+calls (shift, mask, add, compare, tally), fewer at a row's ends, about 2.5
+per step.  Bits in the kernel's own width, and its int8 flag tallies, keep
+every per-pair numpy call a same-type loop.  A block holds one word column
+and its counters, so its memory does not grow with m.
 The independent references are `walk_steps`, which rebuilds any sample's steps in
 plain Python, and `count_positive`, the per-path rule the tests re-count walks
 with.  Floating point appears only in the reporting helpers (`tv_distance`,
@@ -54,6 +63,7 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _MASK64 = (1 << 64) - 1
+_EVEN_BITS = 0x5555555555555555  # bit 2j of each pair's 2-bit field
 
 
 def splitmix64(seed: int, index: int) -> int:
@@ -67,14 +77,13 @@ def splitmix64(seed: int, index: int) -> int:
     return x
 
 
-def _mix_block(x: np.ndarray) -> np.ndarray:
-    """splitmix64's output mix of every word of x, in place: x is a fresh temporary."""
-    x ^= x >> np.uint64(30)
+def _mix_block(x: np.ndarray, spare: np.ndarray) -> None:
+    """splitmix64's output mix of every word of x, in place, with `spare` for the shifts."""
+    x ^= np.right_shift(x, 30, out=spare)
     x *= np.uint64(_MIX1)
-    x ^= x >> np.uint64(27)
+    x ^= np.right_shift(x, 27, out=spare)
     x *= np.uint64(_MIX2)
-    x ^= x >> np.uint64(31)
-    return x
+    x ^= np.right_shift(x, 31, out=spare)
 
 
 @dataclass(frozen=True)
@@ -108,27 +117,62 @@ def walk_steps(cfg: SimConfig, index: int) -> list[int]:
     return [1 if (words[k // 64] >> (k % 64)) & 1 else -1 for k in range(cfg.m)]
 
 
-def _block_steps(seed: int, m: int, start: int, stop: int):
-    """Yield the 0/1 bits of steps 1..m of walks start..stop-1, one vector per step.
+def _block_pairs(seed: int, m: int, start: int, stop: int, split: bool):
+    """Yield the kernel's pairs (steps 2j, 2j+1), j = 0..m // 2, of walks start..stop-1.
 
-    The vectors have the kernel's unsigned type (`_widths(m)`) and are made
-    one word column at a time (see the module docstring); the yielded buffer
-    is reused, so each vector is valid until the next one.
+    With `split` each pair is (b_2j, b_2j+1), the two steps' 0/1 bits; else
+    it is (0, f_j), f_j = b_2j + b_2j+1 its up-count, all a Chung-Feller pass
+    reads.  Steps 0 and m+1 are virtual zero bits.  The vectors have the
+    kernel's unsigned type (`_widths(m)`) and are made one word column at a
+    time (see the module docstring); the yielded buffers are reused, so each
+    pair is valid until the next one.
     """
     w = _words_per_walk(m)
     unsigned = _widths(m)[1]
     width = np.iinfo(unsigned).bits
     little = np.dtype(unsigned).newbyteorder("<")
+    size = stop - start
     # word t of walk j is mix(seed + (t + 1) * golden + j * (w * golden))
-    lanes = np.arange(start, stop, dtype=np.uint64) * np.uint64(w * _GOLDEN & _MASK64)
-    bit = np.empty(stop - start, dtype=unsigned)
-    for t in range(w):
-        words = _mix_block(lanes + np.uint64((seed + (t + 1) * _GOLDEN) & _MASK64))
-        rows = words.astype("<u8", copy=False).view(little).reshape(-1, 64 // width).T
-        rows = rows.astype(unsigned, order="C")
-        for k in range(64 * t, min(64 * t + 64, m)):
-            np.right_shift(rows[(k & 63) // width], k % width, out=bit)
-            yield np.bitwise_and(bit, 1, out=bit)
+    lanes = np.arange(start, stop, dtype=np.uint64)
+    lanes *= np.uint64(w * _GOLDEN & _MASK64)
+    words = np.empty(size, np.uint64)  # W'_t: step 64t + i at bit i
+    spare = np.empty(size, np.uint64)
+    carry = np.zeros(size, np.uint64)  # W_{t-1} >> 63: step 64t
+    rows = np.empty((64 // width, size), unsigned)
+    x, y = np.empty(size, unsigned), np.empty(size, unsigned)
+    for t in range(m // 64 + 1):  # W'_t holds pairs 32t..32t+31
+        if t < w:
+            np.add(lanes, np.uint64((seed + (t + 1) * _GOLDEN) & _MASK64), out=words)
+            _mix_block(words, spare)
+            np.right_shift(words, 63, out=spare)
+            words <<= np.uint64(1)
+            words |= carry
+            carry, spare = spare, carry
+        else:  # m = 64t: W'_t is step m alone, the carry of the last word
+            np.copyto(words, carry)
+        if m - 64 * t < 63:  # steps past m are zero
+            words &= np.uint64((2 << (m - 64 * t)) - 1)
+        if not split:  # 2-bit fields f_j = b_2j + b_2j+1
+            np.right_shift(words, 1, out=spare)
+            spare &= np.uint64(_EVEN_BITS)
+            words &= np.uint64(_EVEN_BITS)
+            words += spare
+        np.copyto(rows, words.astype("<u8", copy=False).view(little).reshape(-1, 64 // width).T)
+        for bit in range(0, min(64, m - 64 * t + 1), 2):
+            row, shift = rows[bit // width], bit % width
+            if split:
+                yield _field(row, shift, 1, x), _field(row, shift + 1, 1, y)
+            else:
+                yield 0, _field(row, shift, 2, y)
+
+
+def _field(row: np.ndarray, shift: int, bits: int, out: np.ndarray) -> np.ndarray:
+    """Bits shift..shift+bits-1 of each entry of `row`, into `out`; no call is made for a no-op."""
+    if shift:
+        row = np.right_shift(row, shift, out=out)
+    if shift + bits < np.iinfo(row.dtype).bits:
+        row = np.bitwise_and(row, (1 << bits) - 1, out=out)
+    return row
 
 
 def simulate(cfg: SimConfig) -> tuple[int, ...]:
@@ -146,8 +190,8 @@ def simulate(cfg: SimConfig) -> tuple[int, ...]:
     seed = cfg.seed & _MASK64
     for start in range(0, cfg.samples, _BLOCK):
         stop = min(start + _BLOCK, cfg.samples)
-        (counts,), _ = _count_walks(_block_steps(seed, m, start, stop), m, stop - start,
-                                    (cfg.rule,))
+        pairs = _block_pairs(seed, m, start, stop, cfg.rule is PositivityRule.NON_NEGATIVE)
+        (counts,), _ = _count_walks(pairs, m, stop - start, (cfg.rule,))
         hist += np.bincount(counts, minlength=size)
     return tuple(int(c) for c in hist)
 

@@ -6,31 +6,35 @@ closed forms.  Paths are ids 0..2^n-1, bit k giving the sign of step k+1
 (set bit = +1), and the cap is the only limit on n.  One step-major kernel,
 `_WalkState`, counts a tuple of rules in a single pass: per walk of a block it
 keeps u, the up-steps so far, and the tallies the rules are read from, on the
-narrowest type that cannot overflow; `advance` updates them at every step and
-`read` reads the counts out.  `_count_walks`, a fresh state advanced over
-every step and read, also counts the Monte Carlo walks.  Enumeration runs
-every path of each 2^16-path block through it, steps up to 16 from a bit table
-of the ids built once per process, each higher step as one int for the block.
-Those table steps are the same in every block, so one loop serves every n:
-the kernel advances them once per n, and each block restores that state into
-its own buffers (up to 16 steps, the one block's state is that state itself)
-and advances it by the block's high steps: each path is still counted in its
-own slot, step by step, from its own bits.  One bincount per block tallies the
-joint key (cf * (n+2) + nn) * 2 + [S_{n-1} > 0], summed down to each rule's
-WalkStats at the end.  `count_positive` is the plain per-path reference both routes
-are tested with.
+narrowest type that cannot overflow.  Its unit is the pair of steps
+(2j, 2j+1), j = 0..n // 2, with steps 0 and n+1 virtual zero bits; `advance`
+updates the state at every pair and `read` reads the counts out.
+`_count_walks`, a fresh state advanced over every pair and read, also counts
+the Monte Carlo walks.  Enumeration runs every path of each 2^16-path block
+through it, steps up to 16 from a bit table of the ids built once per
+process, each higher step as one int for the block.  The pairs the table's
+steps fill alone, (0, b_1), (b_2, b_3), ..., are the same in every block, so
+one loop serves every n: the kernel advances them once per n, and each block
+restores that state into its own buffers (up to 16 steps, the one block's
+state is that state itself) and advances it by the block's other pairs, from
+(b_16, b_17) on: each path is still counted in its own slot, step by step,
+from its own bits.  One bincount per block tallies the joint key
+(cf * (n+2) + nn) * 2 + [S_{n-1} > 0], summed down to each rule's WalkStats at
+the end.  `count_positive` is the plain per-path reference both routes are
+tested with.
 
 Two counting rules, with u_k the up-steps among the first k, so S_k = 2u_k - k:
 
 * CHUNG_FELLER - count k in 1..n with S_k > 0, or S_k = 0 and S_{k-1} > 0.
   S is odd at odd k, so steps 2j-1 and 2j count together, both iff
   S_{2j-1} > 0, i.e. u_{2j-1} >= j; only an odd n leaves its last step
-  unpaired.  The kernel tallies the odd steps that count and doubles
-  the tally, `count_positive` applies the rule as written.
+  unpaired.  The kernel tallies the odd steps that count, once per pair,
+  and doubles the tally, `count_positive` applies the rule as written.
 * NON_NEGATIVE - count k in 0..n with S_k >= 0, i.e. 2u_k >= k, the same
   compare as above at odd k.  The k = 0 term always counts (S_0 = 0), so
-  the count ranges over 1..n+1 and histogram slot 0 stays empty.  This is a
-  genuinely different statistic with a different law at finite n.
+  the count ranges over 1..n+1 and histogram slot 0 stays empty; the
+  kernel counts it as pair 0's even step.  This is a genuinely different
+  statistic with a different law at finite n.
 """
 
 from __future__ import annotations
@@ -115,68 +119,86 @@ def _widths(n: int) -> tuple[type[np.signedinteger], type[np.unsignedinteger]]:
                 if n < np.iinfo(pair[0]).max)
 
 
-_FLUSH = 127  # the most flags an int8 tally holds
+_FLUSH = 127  # the most flags an int8 tally holds, one per pair
+
+_Bits = np.ndarray | int  # one step's 0/1 bits: a vector over the walks, or one int for all
+_Pair = tuple[_Bits, _Bits]
+
+
+def _pairs(steps: Sequence[_Bits]) -> list[_Pair]:
+    """The kernel's items for steps 1..n: (b_2j, b_2j+1), j = 0..n // 2, b_0 = b_{n+1} = 0."""
+    bits = [0, *steps, 0]
+    return list(zip(bits[0::2], bits[1::2]))
 
 
 class _WalkState:
-    """Where `size` walks of n steps stand after their first k steps, one slot per walk.
+    """Where `size` walks of n steps stand after their first `pairs` pairs of steps.
 
-    `up` holds u_k, the up-steps so far, in the unsigned type of `_widths(n)`.
-    `odd` counts, in the signed type, the odd steps j <= k with u_j >= (j+1)/2,
-    and `even`, kept only for NON_NEGATIVE, the even steps j <= k with
-    u_j >= j/2.  `advance` runs further steps in place; `read` reads the
-    counts and sums at k out into these buffers, after which the state is spent.
+    The kernel's unit is the pair of steps (2j, 2j+1), j = 0..n // 2, where
+    steps 0 and n+1 are virtual zero bits.  Per walk, `up` holds u, the
+    up-steps so far, in the unsigned type of `_widths(n)`.  `odd` counts, in
+    the signed type, the odd steps k = 2j+1 <= n with u_k >= j+1, and `even`,
+    kept only for NON_NEGATIVE, the even steps k = 2j with u_k >= j (k = 0
+    among them).  `advance` runs further pairs in place; once all n // 2 + 1
+    are in, `read` reads the counts and sums out into these buffers, after
+    which the state is spent.
     """
 
     def __init__(self, n: int, size: int, rules: Sequence[PositivityRule]):
         signed, unsigned = _widths(n)
-        self.k = 0
+        self.n = n
+        self.pairs = 0
         self.up = np.zeros(size, unsigned)
         self.odd = np.zeros(size, signed)
         self.even = np.zeros(size, signed) if PositivityRule.NON_NEGATIVE in rules else None
 
     def restore(self, saved: _WalkState) -> _WalkState:
-        """Copy `saved`, a state of the same walks' types and rules, into these buffers."""
-        self.k = saved.k
+        """Copy `saved`, a state of the same walks' length and rules, into these buffers."""
+        self.pairs = saved.pairs
         for mine, theirs in ((self.up, saved.up), (self.odd, saved.odd), (self.even, saved.even)):
             if mine is not None:
                 np.copyto(mine, theirs)
         return self
 
-    def advance(self, steps: Iterable[np.ndarray | int]) -> _WalkState:
-        """Run steps k+1 onwards in place.
+    def advance(self, pairs: Iterable[_Pair]) -> _WalkState:
+        """Run pairs `self.pairs` onwards in place.
 
-        `steps` yields their 0/1 bits (set bit = +1), each a vector over the
-        walks, best in the unsigned type of `_widths(n)`, or one int shared by
-        all of them.  Chung-Feller counts steps 2j-1 and 2j together, both iff
-        u_{2j-1} >= j, and non-negative counts step k iff 2u_k >= k, which at
-        odd k is the same compare.  So one pass serves every rule: a step is
-        `up += b` and, at odd k and at even k for NON_NEGATIVE, one compare,
-        whose flags add up in an int8 tally (the counts themselves when they
-        are int8, else a tally added into the wider counts every `_FLUSH`
-        steps and at the end of the pass).
+        `pairs` yields (x, y), the 0/1 bits of steps 2j and 2j+1 (set bit =
+        +1), each a vector over the walks, best in the unsigned type of
+        `_widths(n)`, or one int shared by all of them.  Chung-Feller counts
+        steps 2j+1 and 2j+2 together, both iff u_{2j+1} >= j+1, and
+        non-negative counts step k iff 2u_k >= k, which at odd k is the same
+        compare.  So one pass serves every rule: a pair is `up += x`, for
+        NON_NEGATIVE the even compare u >= j, `up += y` and, when 2j+1 <= n,
+        the odd compare u >= j+1.  A pass without NON_NEGATIVE never reads u
+        at even k, so its source may feed (0, x + y).  The flags add up in
+        int8 tallies (the counts themselves when they are int8, else tallies
+        added into the wider counts every `_FLUSH` pairs and at the end of
+        the pass).
         """
-        up, odd, even, size = self.up, self.odd, self.even, self.up.size
+        up, odd, even, size, n = self.up, self.odd, self.even, self.up.size, self.n
         wide = odd.dtype.type is not np.int8  # then the flags add up in int8 tallies of their own
         if wide:
             odd, even = np.zeros(size, np.int8), None if even is None else np.zeros(size, np.int8)
         flag = np.empty(size, dtype=bool)
         flag_int = flag.view(np.int8)  # int8 += int8, the fastest numpy add
-        k = self.k
-        for k, bit in enumerate(steps, k + 1):
-            if type(bit) is not int or bit:
-                up += bit
-            if k & 1:
-                np.greater_equal(up, (k + 1) >> 1, out=flag)
-                odd += flag_int
-            elif even is not None:
-                np.greater_equal(up, k >> 1, out=flag)
+        j = self.pairs - 1
+        for j, (x, y) in enumerate(pairs, self.pairs):
+            if type(x) is not int or x:
+                up += x
+            if even is not None:
+                np.greater_equal(up, j, out=flag)
                 even += flag_int
-            if wide and k % _FLUSH == 0:
+            if type(y) is not int or y:
+                up += y
+            if 2 * j < n:
+                np.greater_equal(up, j + 1, out=flag)
+                odd += flag_int
+            if wide and (j + 1) % _FLUSH == 0:
                 self._flush(odd, even)
         if wide:
             self._flush(odd, even)
-        self.k = k
+        self.pairs = j + 1
         return self
 
     def _flush(self, odd: np.ndarray, even: np.ndarray | None) -> None:
@@ -188,25 +210,25 @@ class _WalkState:
             even.fill(0)
 
     def read(self, rules: Sequence[PositivityRule]) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-        """Counts under each of `rules`, and sums S_k, of the walks after k steps."""
-        k = self.k
-        if self.even is not None:  # NN = 1 + odd + even, read out into the even tally's buffer
+        """Counts under each of `rules`, and sums S_n, of the walks after all their pairs."""
+        n = self.n
+        assert self.pairs == n // 2 + 1, "read before the last pair"
+        if self.even is not None:  # NN = odd + even, read out into the even tally's buffer
             self.even += self.odd
-            self.even += 1
-        if PositivityRule.CHUNG_FELLER in rules:  # CF = 2 odd - [k odd][u_k >= (k+1)/2]
+        if PositivityRule.CHUNG_FELLER in rules:  # CF = 2 odd - [n odd][u_n >= (n+1)/2]
             self.odd += self.odd
-            if k & 1:
-                self.odd -= np.greater_equal(self.up, (k + 1) >> 1).view(np.int8)
+            if n & 1:
+                self.odd -= np.greater_equal(self.up, (n + 1) >> 1).view(np.int8)
         self.up += self.up
-        self.up -= k  # S_k = 2u_k - k, read back as signed
+        self.up -= n  # S_n = 2u_n - n, read back as signed
         counts = {PositivityRule.CHUNG_FELLER: self.odd, PositivityRule.NON_NEGATIVE: self.even}
         return tuple(counts[rule] for rule in rules), self.up.view(self.odd.dtype)
 
 
-def _count_walks(steps: Iterable[np.ndarray | int], n: int, size: int,
-                 rules: Sequence[PositivityRule]) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+def _count_walks(pairs: Iterable[_Pair], n: int, size: int, rules: Sequence[PositivityRule]
+                 ) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     """Counts under each of `rules`, and final sums, of `size` walks of n steps, in one pass."""
-    return _WalkState(n, size, rules).advance(steps).read(rules)
+    return _WalkState(n, size, rules).advance(pairs).read(rules)
 
 
 def _enumerate(n: int, rule: PositivityRule) -> WalkStats:
@@ -230,25 +252,29 @@ def _enumerate_rules(n: int) -> dict[PositivityRule, WalkStats]:
     """WalkStats of both rules from one kernel pass and one bincount per block."""
     rules = (PositivityRule.CHUNG_FELLER, PositivityRule.NON_NEGATIVE)
     width = n + 2
+    unsigned = _widths(n)[1]
     tally = np.zeros((width, width, 2), dtype=np.int64)  # by key (cf * width + nn) * 2 + pos
     block = min(_BLOCK, 1 << n)
     low = block.bit_length() - 1  # steps 1..low vary inside a block
     table = _bit_table()[:low, :block]
     key = np.empty(block, dtype=np.int16 if tally.size <= 1 << 15 else np.intp)
     positive = np.zeros(block, dtype=bool)  # pos = [S_{n-1} > 0], never for n < 2
-    # steps 1..low are the same table in every block: count them once; past
-    # them each block's walks resume from their own slots of that prefix
-    prefix = _WalkState(n, block, rules).advance(table)
+    # the pairs the table's steps fill alone are the same in every block:
+    # count them once (all of them up to 16 steps, else (0, b_1)..(b_14, b_15));
+    # from (b_16, b_17) on, each block's walks resume from their own slots
+    whole = n // 2 + 1 if n == low else low // 2
+    prefix = _WalkState(n, block, rules).advance(_pairs(table)[:whole])
     state = prefix if n == low else _WalkState(n, block, rules)
     for start in range(0, 1 << n, block):
         high = [(start >> k) & 1 for k in range(low, n)]
-        (cf, nn), sums = state.restore(prefix).advance(high).read(rules)
-        np.multiply(cf, width, out=key, dtype=key.dtype)  # on the int8 counts it would wrap
-        key += nn
-        key <<= 1
+        (cf, nn), sums = state.restore(prefix).advance(_pairs([*table, *high])[whole:]).read(rules)
         if n >= 2:  # S_{n-1} = S_n - 2b_n + 1 > 0 iff S_n >= 2b_n
             np.greater_equal(sums, 2 * (high or table)[-1], out=positive)
-        key += positive
+        nn = nn.view(unsigned)  # 2 nn + pos <= 2n + 3 fits the counts' unsigned type
+        nn += nn
+        nn += positive.view(np.uint8)
+        np.multiply(cf, 2 * width, out=key, dtype=key.dtype)  # on the int8 counts it would wrap
+        key += nn
         tally += np.bincount(key, minlength=tally.size).reshape(tally.shape)
     return {rule: WalkStats(n=n, rule=rule, count_hist=tuple(int(c) for c in joint.sum(axis=1)),
                             joint_pos=tuple(int(c) for c in joint[:, 1]))

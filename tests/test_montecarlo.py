@@ -1,6 +1,7 @@
 import hashlib
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from coinwalk import montecarlo
@@ -63,11 +64,37 @@ class TestDeterminism:
             monkeypatch, cfg, 11)
 
     @pytest.mark.parametrize("m", [1, 126, 127, 1000, 40000])
-    def test_step_bits_in_the_kernel_width(self, m):
+    @pytest.mark.parametrize("split", [False, True], ids=["summed", "split"])
+    def test_step_bits_in_the_kernel_width(self, m, split):
         # bits narrower than the kernel's counters would add through numpy's
-        # slower mixed-type loops
-        bits = next(montecarlo._block_steps(3, m, 0, 5))
-        assert bits.dtype == _widths(m)[1]
+        # slower mixed-type loops; the summed pairs' first half is the int 0
+        pairs = list(montecarlo._block_pairs(3, m, 0, 5, split))
+        assert len(pairs) == m // 2 + 1
+        halves = [half for pair in pairs for half in (pair if split else pair[1:])]
+        assert {half.dtype for half in halves} == {np.dtype(_widths(m)[1])}
+        if not split:
+            assert all(type(x) is int and x == 0 for x, _ in pairs)
+
+    @pytest.mark.parametrize("m", [1, 2, 62, 63, 64, 65, 66, 127, 128, 129, 1000])
+    @pytest.mark.parametrize("split", [False, True], ids=["summed", "split"])
+    def test_pairs_match_walk_steps(self, m, split):
+        # pair j is steps 2j and 2j+1 of the stream shifted up one bit, with
+        # steps 0 and m+1 zero: no random bit past step m reaches the last
+        # pair, and step 64t comes from word t-1's top bit
+        cfg = SimConfig(m=m, samples=70, seed=23)
+        start, stop = 6, 70
+        got = [(np.array(x, copy=True).tolist() if split else x, y.tolist())
+               for x, y in montecarlo._block_pairs(cfg.seed, m, start, stop, split)]
+        want_x, want_y = [], []
+        for index in range(start, stop):
+            bits = [0, *(int(s > 0) for s in walk_steps(cfg, index)), 0]
+            want_x.append(bits[0::2][:m // 2 + 1])
+            want_y.append(bits[1::2][:m // 2 + 1])
+        if split:
+            want = [(list(x), list(y)) for x, y in zip(zip(*want_x), zip(*want_y))]
+        else:
+            want = [(0, [a + b for a, b in zip(x, y)]) for x, y in zip(zip(*want_x), zip(*want_y))]
+        assert got == want
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -90,7 +117,7 @@ class TestSpotCheck:
         recount = Counter(count_positive(walk_steps(cfg, j), NN) for j in range(cfg.samples))
         assert tuple(recount.get(j, 0) for j in range(cfg.m + 2)) == hist
 
-    @pytest.mark.parametrize("m", [63, 64, 65, 130, 300])
+    @pytest.mark.parametrize("m", [2, 62, 63, 64, 65, 66, 127, 129, 130, 300])
     @pytest.mark.parametrize("rule", [CF, NN])
     def test_multi_word_walks(self, monkeypatch, m, rule):
         # walks spanning several splitmix words pin the byte and word order;

@@ -59,13 +59,23 @@ def step_bits(rows, n, share, dtype=np.uint8):
         yield column.pop() if share and len(column) == 1 else np.array([row[k] for row in rows], dtype)
 
 
+def pair_bits(steps, summed=False):
+    """The kernel's items for steps 1..n: (b_2j, b_2j+1), j = 0..n // 2, b_0 = b_{n+1} = 0.
+
+    `summed` gives (0, b_2j + b_2j+1), the form a Chung-Feller-only pass takes.
+    """
+    bits = [0, *steps, 0]
+    pairs = list(zip(bits[0::2], bits[1::2]))
+    return [(0, x + y) for x, y in pairs] if summed else pairs
+
+
 class TestCountingKernel:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 200).flatmap(bit_rows), st.booleans())
     def test_matches_per_path_reference(self, walks, share):
         # one pass counts both rules
         n, rows = walks
-        (cf, nn), sums = _count_walks(step_bits(rows, n, share), n, len(rows), (CF, NN))
+        (cf, nn), sums = _count_walks(pair_bits(step_bits(rows, n, share)), n, len(rows), (CF, NN))
         steps = [[2 * b - 1 for b in row] for row in rows]
         assert cf.tolist() == [count_positive(s, CF) for s in steps]
         assert nn.tolist() == [count_positive(s, NN) for s in steps]
@@ -78,19 +88,34 @@ class TestCountingKernel:
     def test_any_rules_tuple(self, walks, rules, share):
         # counts come back in the order the rules were asked for
         n, rows = walks
-        counts, _ = _count_walks(step_bits(rows, n, share), n, len(rows), rules)
+        counts, _ = _count_walks(pair_bits(step_bits(rows, n, share)), n, len(rows), rules)
         steps = [[2 * b - 1 for b in row] for row in rows]
         assert [c.tolist() for c in counts] == [[count_positive(s, rule) for s in steps]
                                                 for rule in rules]
 
-    @pytest.mark.parametrize("n", [126, 127, 128, 254, 255, 381])
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 300).flatmap(bit_rows), st.booleans())
+    def test_summed_pairs_count_chung_feller(self, walks, share):
+        # a pass without the non-negative rule reads u only at odd steps, so
+        # each pair may come as (0, b_2j + b_2j+1)
+        n, rows = walks
+        steps = list(step_bits(rows, n, share, _widths(n)[1]))
+        (cf,), sums = _count_walks(pair_bits(steps, summed=True), n, len(rows), (CF,))
+        (whole,), whole_sums = _count_walks(pair_bits(steps), n, len(rows), (CF,))
+        walks_steps = [[2 * b - 1 for b in row] for row in rows]
+        assert cf.tolist() == whole.tolist() == [count_positive(s, CF) for s in walks_steps]
+        assert sums.tolist() == whole_sums.tolist()
+
+    @pytest.mark.parametrize("n", [126, 127, 128, 252, 253, 254, 255, 256, 381, 508, 509])
     @pytest.mark.parametrize("kernel_width", [False, True], ids=["uint8", "kernel-width"])
     def test_flush_boundaries(self, n, kernel_width):
-        # an all-up walk adds a flag at every step, so a 128-step window between
-        # flushes would wrap the int8 tally
+        # an all-up walk adds a flag at both compares of every pair, so 128
+        # pairs between flushes would wrap the int8 tallies; the flush falls
+        # after pairs 127 and 254, steps 253 and 507
         rows = [[1] * n, [0] * n, [(k + 1) % 2 for k in range(n)], [k % 2 for k in range(n)]]
         dtype = _widths(n)[1] if kernel_width else np.uint8
-        (cf, nn), sums = _count_walks(step_bits(rows, n, False, dtype), n, len(rows), (CF, NN))
+        pairs = pair_bits(step_bits(rows, n, False, dtype))
+        (cf, nn), sums = _count_walks(pairs, n, len(rows), (CF, NN))
         steps = [[2 * b - 1 for b in row] for row in rows]
         assert cf.tolist() == [count_positive(s, CF) for s in steps]
         assert nn.tolist() == [count_positive(s, NN) for s in steps]
@@ -102,7 +127,8 @@ class TestCountingKernel:
         # 20,000 up, then 20,000 down: every step counts, the last one by the tie rule
         steps = [1] * 20000 + [-1] * 20000
         bits = [[1] * 20000 + [0] * 20000]
-        (counts,), sums = _count_walks(step_bits(bits, 40000, False), 40000, 1, (rule,))
+        pairs = pair_bits(step_bits(bits, 40000, False))
+        (counts,), sums = _count_walks(pairs, 40000, 1, (rule,))
         assert sums.dtype == np.int32
         assert sums.tolist() == [0]
         assert counts.tolist() == [count_positive(steps, rule)] == [expected]
@@ -111,27 +137,28 @@ class TestCountingKernel:
     @given(st.integers(0, 160).flatmap(bit_rows), st.sampled_from([(CF,), (NN,), (CF, NN)]),
            st.booleans())
     def test_resumed_pass_equals_one_pass(self, walks, rules, share):
-        # a state advanced over any first j <= n steps, then over the rest, reads
-        # what one pass over all n steps does, types and int8 flushes included
+        # a state advanced over any first i <= n // 2 + 1 pairs, then over the
+        # rest, reads what one pass over all the pairs does, types and int8
+        # flushes included
         n, rows = walks
-        steps = list(step_bits(rows, n, share))
-        whole, whole_sums = _count_walks(steps, n, len(rows), rules)
-        for j in range(n + 1):
-            state = oracle._WalkState(n, len(rows), rules).advance(steps[:j])
-            assert state.k == j
-            assert state.up.tolist() == [sum(row[:j]) for row in rows]
-            assert state.advance(steps[j:]).k == n
+        pairs = pair_bits(step_bits(rows, n, share))
+        whole, whole_sums = _count_walks(pairs, n, len(rows), rules)
+        for i in range(len(pairs) + 1):
+            state = oracle._WalkState(n, len(rows), rules).advance(pairs[:i])
+            assert state.pairs == i
+            assert state.up.tolist() == [sum(row[:max(2 * i - 1, 0)]) for row in rows]
+            assert state.advance(pairs[i:]).pairs == n // 2 + 1
             counts, sums = state.read(rules)
             assert [c.tolist() for c in counts] == [c.tolist() for c in whole]
             assert sums.tolist() == whole_sums.tolist()
             assert [c.dtype for c in counts] == [c.dtype for c in whole]
             assert sums.dtype == whole_sums.dtype
 
-    @pytest.mark.parametrize("n", [0, 1, 5, 16, 17, 18])
+    @pytest.mark.parametrize("n", [0, 1, 5, 16, 17, 18, 21])
     def test_table_steps_once_then_one_resumed_pass_per_block(self, monkeypatch, n):
-        # one loop for every n: the table's min(n, 16) steps are advanced once, then
-        # each block advances by its n - min(n, 16) high steps and is read; up to 16
-        # steps, the one block reads the prefix state itself
+        # one loop for every n: the pairs the table's min(n, 16) steps fill
+        # alone are advanced once, then each block advances by the rest and is
+        # read; up to 16 steps, the one block reads the prefix state itself
         calls = []
 
         class Recording(oracle._WalkState):
@@ -139,23 +166,24 @@ class TestCountingKernel:
                 calls.append(("new", length, size, rules))
                 super().__init__(length, size, rules)
 
-            def advance(self, steps):
-                steps = list(steps)
-                calls.append(("advance", self.k, len(steps), self.up.size))
-                return super().advance(steps)
+            def advance(self, pairs):
+                pairs = list(pairs)
+                calls.append(("advance", self.pairs, len(pairs), self.up.size))
+                return super().advance(pairs)
 
             def read(self, rules):
-                calls.append(("read", self.k, rules))
+                calls.append(("read", self.pairs, rules))
                 return super().read(rules)
 
         monkeypatch.setattr(oracle, "_WalkState", Recording)
         oracle._enumerate_rules.cache_clear()
         cf, nn = enumerate_walks(n, CF), enumerate_walks(n, NN)
-        low, size = min(n, 16), min(2**n, oracle._BLOCK)
+        size, total = min(2**n, oracle._BLOCK), n // 2 + 1
+        whole = total if n <= 16 else 8  # pairs (0, 1), (2, 3), ..., (14, 15) of steps 0..15
         new = ("new", n, size, (CF, NN))
-        block = [("advance", low, n - low, size), ("read", n, (CF, NN))]
-        prefix = [new, ("advance", 0, low, size)]
-        assert calls == prefix + ([] if n <= 16 else [new]) + block * 2 ** (n - low)
+        block = [("advance", whole, total - whole, size), ("read", total, (CF, NN))]
+        prefix = [new, ("advance", 0, whole, size)]
+        assert calls == prefix + ([] if n <= 16 else [new]) + block * 2 ** (n - min(n, 16))
         assert cf.rule is CF and nn.rule is NN
 
     @pytest.mark.parametrize("n", [17, 18])
@@ -166,7 +194,7 @@ class TestCountingKernel:
         table = oracle._bit_table()
         for start in range(0, 1 << n, oracle._BLOCK):
             bits = [*table, *((start >> k) & 1 for k in range(16, n))]
-            (cf, nn), sums = _count_walks(bits, n, oracle._BLOCK, (CF, NN))
+            (cf, nn), sums = _count_walks(pair_bits(bits), n, oracle._BLOCK, (CF, NN))
             positive = (sums >= 2 * bits[-1]).astype(np.intp)  # S_{n-1} > 0
             np.add.at(tally, (cf.astype(np.intp), nn.astype(np.intp), positive), 1)
         stats = oracle._enumerate_rules(n)
