@@ -63,7 +63,7 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _MASK64 = (1 << 64) - 1
-_EVEN_BITS = 0x5555555555555555  # bit 2j of each pair's 2-bit field
+_EVEN_BITS = 0x5555555555555555  # the low bit of every 2-bit field
 
 
 def splitmix64(seed: int, index: int) -> int:
@@ -139,7 +139,8 @@ def _block_pairs(seed: int, m: int, start: int, stop: int, split: bool):
     spare = np.empty(size, np.uint64)
     carry = np.zeros(size, np.uint64)  # W_{t-1} >> 63: step 64t
     rows = np.empty((64 // width, size), unsigned)
-    x, y = np.empty(size, unsigned), np.empty(size, unsigned)
+    x = np.empty(size, unsigned) if split else None
+    y = np.empty(size, unsigned)
     for t in range(m // 64 + 1):  # W'_t holds pairs 32t..32t+31
         if t < w:
             np.add(lanes, np.uint64((seed + (t + 1) * _GOLDEN) & _MASK64), out=words)
@@ -170,7 +171,7 @@ def _field(row: np.ndarray, shift: int, bits: int, out: np.ndarray) -> np.ndarra
     """Bits shift..shift+bits-1 of each entry of `row`, into `out`; no call is made for a no-op."""
     if shift:
         row = np.right_shift(row, shift, out=out)
-    if shift + bits < np.iinfo(row.dtype).bits:
+    if shift + bits < 8 * row.itemsize:
         row = np.bitwise_and(row, (1 << bits) - 1, out=out)
     return row
 

@@ -256,7 +256,7 @@ def _enumerate_rules(n: int) -> dict[PositivityRule, WalkStats]:
     tally = np.zeros((width, width, 2), dtype=np.int64)  # by key (cf * width + nn) * 2 + pos
     block = min(_BLOCK, 1 << n)
     low = block.bit_length() - 1  # steps 1..low vary inside a block
-    table = _bit_table()[:low, :block]
+    table = list(_bit_table()[:low, :block])  # row k - 1 is step k's bits
     key = np.empty(block, dtype=np.int16 if tally.size <= 1 << 15 else np.intp)
     positive = np.zeros(block, dtype=bool)  # pos = [S_{n-1} > 0], never for n < 2
     # the pairs the table's steps fill alone are the same in every block:
@@ -267,7 +267,7 @@ def _enumerate_rules(n: int) -> dict[PositivityRule, WalkStats]:
     state = prefix if n == low else _WalkState(n, block, rules)
     for start in range(0, 1 << n, block):
         high = [(start >> k) & 1 for k in range(low, n)]
-        (cf, nn), sums = state.restore(prefix).advance(_pairs([*table, *high])[whole:]).read(rules)
+        (cf, nn), sums = state.restore(prefix).advance(_pairs(table + high)[whole:]).read(rules)
         if n >= 2:  # S_{n-1} = S_n - 2b_n + 1 > 0 iff S_n >= 2b_n
             np.greater_equal(sums, 2 * (high or table)[-1], out=positive)
         nn = nn.view(unsigned)  # 2 nn + pos <= 2n + 3 fits the counts' unsigned type
