@@ -83,17 +83,13 @@ class TestDeterminism:
         # pair, and step 64t comes from word t-1's top bit
         cfg = SimConfig(m=m, samples=70, seed=23)
         start, stop = 6, 70
-        got = [(np.array(x, copy=True).tolist() if split else x, y.tolist())
+        got = [(x if type(x) is int else x.tolist(), y.tolist())
                for x, y in montecarlo._block_pairs(cfg.seed, m, start, stop, split)]
-        want_x, want_y = [], []
-        for index in range(start, stop):
-            bits = [0, *(int(s > 0) for s in walk_steps(cfg, index)), 0]
-            want_x.append(bits[0::2][:m // 2 + 1])
-            want_y.append(bits[1::2][:m // 2 + 1])
-        if split:
-            want = [(list(x), list(y)) for x, y in zip(zip(*want_x), zip(*want_y))]
-        else:
-            want = [(0, [a + b for a, b in zip(x, y)]) for x, y in zip(zip(*want_x), zip(*want_y))]
+        walks = [[0, *(int(s > 0) for s in walk_steps(cfg, i)), 0] for i in range(start, stop)]
+        want = []
+        for j in range(m // 2 + 1):
+            x, y = [bits[2 * j] for bits in walks], [bits[2 * j + 1] for bits in walks]
+            want.append((x, y) if split else (0, [a + b for a, b in zip(x, y)]))
         assert got == want
 
     def test_config_validation(self):
