@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, islice, repeat
 from typing import Iterator, Sequence
 
 from .errors import DomainError
@@ -84,24 +84,37 @@ def law(m: int) -> Distribution:
 
     With K = ceil(m/2), the weights w_r = c_r c_{K-r}, r = 0..K, serve both
     parities: w_r at 2r over 4^K when m is even; w_r (K-r) at 2r and w_r r
-    at 2r-1 over 4^K K when m is odd.  Each count is written once, into the
+    at 2r-1 over 4^K K when m is odd.  Both laws are mirror-symmetric,
+    P(N = j) = P(N = m - j), because w_r = w_{K-r}: so only w_0..w_{K//2}
+    are formed, the counts of slots j <= m/2 are written and reduced by
+    their gcd with the denominator, and every slot j > m/2 holds the same
+    int object as slot m - j.  Each count is computed and held once, in the
     list the law's PGF then owns.
     """
     if m < 0:
         raise DomainError(f"walk length must be non-negative, got {m}")
     k = (m + 1) // 2
     counts = [0] * (m + 1)
-    weights = enumerate(_weights(k))
+    weights = enumerate(islice(_weights(k), k // 2 + 1))
     if m % 2 == 0:
+        den = 4**k
         for r, w in weights:
             counts[2 * r] = w
-        return Distribution(m, QPoly._make(counts, 4**k))
-    for r, w in weights:
-        if r:
-            counts[2 * r - 1] = w * r
-        if r < k:
+    else:
+        den = 4**k * k
+        for r, w in weights:
+            if r:
+                counts[2 * r - 1] = w * r
             counts[2 * r] = w * (k - r)
-    return Distribution(m, QPoly._make(counts, 4**k * k))
+    half = m // 2 + 1  # slots 0..m//2; slot m - j mirrors slot j
+    g = math.gcd(den, *counts[:half])
+    if g != 1:
+        for j in range(half):
+            counts[j] //= g
+    for j in range(half, m + 1):
+        counts[j] = counts[m - j]
+    # already canonical, so _make keeps the shared objects
+    return Distribution(m, QPoly._make(counts, den // g))
 
 
 def _weights(k: int) -> Iterator[int]:

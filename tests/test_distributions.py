@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 from fractions import Fraction
 from itertools import accumulate
@@ -158,6 +159,27 @@ class TestLaw:
         assert dist.length == m
         assert peak <= 1.5 * held
 
+    @pytest.mark.parametrize("m", [*range(12), 2000, 2001])
+    def test_mirror_atoms_share_one_count(self, m):
+        # P(N = j) = P(N = m - j): the count is computed once and both slots hold it
+        nums, _ = pgf(law(m)).numerators
+        assert len(nums) == m + 1
+        for j in range(m + 1):
+            assert nums[j] is nums[m - j]
+
+    @pytest.mark.parametrize("m", [2000, 2001])
+    def test_mirror_counts_are_held_once(self, m):
+        # the law holds about half of what its slots would take as distinct ints
+        law(m)
+        tracemalloc.start()
+        try:
+            dist = law(m)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        nums, _ = pgf(dist).numerators
+        assert held <= 0.6 * sum(sys.getsizeof(c) for c in nums)
+
 
 def printed_law(m):
     """P(N_m = j), j = 0..m, straight from the printed formula in u_k = C(2k, k) / 4^k."""
@@ -180,7 +202,9 @@ def printed_law(m):
 
 
 class TestIntegerLaws:
-    @pytest.mark.parametrize("m", [*range(131), 1000, 1001])
+    # 255..2049: the half's gcd with the denominator takes different powers of two and odd factors
+    @pytest.mark.parametrize("m", [*range(131), 255, 256, 257, 511, 512, 513, 1000, 1001,
+                                   2047, 2048, 2049])
     def test_matches_printed_formula(self, m):
         dist = law(m)
         assert dist.length == m
