@@ -13,10 +13,13 @@ where u_k = c_k / 4^k, c_k = C(2k, k), is the probability that the walk is
 back at the origin after 2k steps.  With K = ceil(m/2), both come from the
 weights w_r = c_r c_{K-r}, r = 0..K: the law of 2n+1 tosses is the law of
 2n+2 tosses with each atom at 2r split r : (n+1-r) between 2r-1 and 2r.
-`law` is the one builder: it forms the w_r one at a time by their ratio
-recurrence (`_weights`) and writes each count straight into the numerator
-list of the law's PGF, over one denominator, 4^K or 4^K K.  The counts exist
-once, from that list to the writer that prints them.
+Both laws are mirror-symmetric, P(N_m = j) = P(N_m = m - j), because
+w_r = w_{K-r}.  `law` is the one builder: it forms w_0..w_{K//2}, half the
+weights, one at a time by their ratio recurrence (`_weights`), writes the
+counts of slots j <= m/2 straight into the numerator list of the law's PGF,
+over one denominator, 4^K or 4^K K, and fills each slot j > m/2 with the
+same int object as slot m - j.  Each count is computed once and exists once,
+from that list to the writer that prints it.
 
 A :class:`Distribution` is stored as its PGF, one ``QPoly`` (integer
 numerators over one denominator), so ``pgf`` is free.  ``mass`` and ``cdf``
@@ -105,7 +108,8 @@ def law(m: int) -> Distribution:
         for r, w in weights:
             if r:
                 counts[2 * r - 1] = w * r
-            counts[2 * r] = w * (k - r)
+            if 2 * r < k:
+                counts[2 * r] = w * (k - r)
     half = m // 2 + 1  # slots 0..m//2; slot m - j mirrors slot j
     g = math.gcd(den, *counts[:half])
     if g != 1:
