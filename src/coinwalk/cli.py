@@ -321,7 +321,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="walk length; the two-route rows reach 2*max_n (default %(default)s)")
     p.add_argument("--order", type=_positive,
                    help="the last series and csaki length plus one (default --max-n + 1)")
-    p.add_argument("--sections", choices=SECTIONS, default="all")
+    p.add_argument("--sections", choices=SECTIONS, default="all",
+                   help="the rows of the full run whose routes the section names "
+                        "(default %(default)s)")
     add_cap(p, "longest walk enumerated; rows past it are skipped:cap")
     p.add_argument("--strict-csaki", action="store_true",
                    help="let the csaki check affect the exit code")

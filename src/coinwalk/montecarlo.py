@@ -55,7 +55,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .distributions import Distribution
+from .distributions import Distribution, _counts
 from .errors import DomainError
 from .oracle import _BLOCK, PositivityRule, _count_walks, _widths
 
@@ -209,7 +209,9 @@ def tv_distance(hist: Sequence[int], exact: Distribution) -> float:
     samples = sum(hist)
     if not samples:
         raise DomainError("histogram holds no samples")
-    return 0.5 * sum(abs(h / samples - float(p)) for h, p in zip(hist, exact.mass))
+    counts, den = _counts(exact)
+    # int / int is correctly rounded, so each term is float(Fraction(c, den))
+    return 0.5 * sum(abs(h / samples - c / den) for h, c in zip(hist, counts))
 
 
 def arcsine_cdf(u: float) -> float:

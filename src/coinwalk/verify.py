@@ -188,9 +188,10 @@ def _check_csaki(order: int, cap: int) -> list[ReportRow]:
 
 
 def _check_cond(max_n: int, cap: int) -> list[ReportRow]:
+    """Rows n = 1..max_n // 2: row n enumerates the walks of 2n steps."""
     return [_compare("cond", n, QPoly(oracle_conditional(n, cap=cap)),
                      QPoly(conditional_positive(n, r) for r in range(n + 1)))
-            if 2 * n <= cap else _skipped("cond", n) for n in range(1, max_n + 1)]
+            if 2 * n <= cap else _skipped("cond", n) for n in range(1, max_n // 2 + 1)]
 
 
 def _check_legendre(max_n: int, legendre_table: list[QPoly],
@@ -225,33 +226,40 @@ def _compare_far(n: int, got: QPoly) -> ReportRow:
 
 def run_verify(max_n: int = 12, order: int | None = None, sections: str = "all",
                cap: int = DEFAULT_CAP, strict_csaki: bool = False) -> VerifyReport:
-    """Run the selected checks; series and csaki rows end at order - 1 (default max_n)."""
+    """Run the selected checks; series and csaki rows end at order - 1 (default max_n).
+
+    A section is the ``all`` run restricted to its routes: its rows are, in
+    order and payload, the rows of ``all`` whose route it names (``even`` and
+    ``odd`` take the parity routes at their own lengths; ``ratio-form`` is in
+    no section).  max_n is a walk length: a ``cond`` row n enumerates a walk
+    of 2n steps, so those rows stop at max_n // 2.
+    """
     if sections not in SECTIONS:
         raise DomainError(f"unknown section {sections!r}; choose from {SECTIONS}")
     rows: list[ReportRow] = []
     evens: list[QPoly] = []  # E_k = pgf(law(2k)): one object per k, shared by its rows
     # every series is built once, only as far as a compared row reads: z^max_n
     order = min(max_n + 1 if order is None else order, max_n + 1)
-    legendre_table = legendre_pgf_table(max_n) if sections == "legendre" else None
     if sections in ("all", "even", "odd"):
         dp_table = dp_pgf_table(max_n)
         even = pgf_series_even(order + 1)
         odd = _odd_from_even(even)
-        # every E_k a parity row or an odd identity reads (k <= max_n // 2 + 2), and
-        # then the Legendre table, built after the DP so that neither is held under its peak
+        # every E_k a parity row or an odd identity reads (k <= max_n // 2 + 2)
         evens = [pgf(law(2 * k)) for k in range(max_n // 2 + 3)]
-        if sections != "odd":
-            legendre_table = legendre_pgf_table(max_n // 2 if sections == "even" else max_n)
-        for name, parity in (("even", 0), ("odd", 1)):
-            if sections in ("all", name):
-                rows.extend(_check_parity(max_n, order, cap, parity, dp_table, legendre_table,
-                                          evens, even, odd))
-        if sections == "all":
-            rows.append(_check_ratio_form(order, dp_table))
+    # built after the parity inputs, so that neither is held under the other's peak,
+    # and only as far as an even-parity or two-route legendre row reads
+    legendre_table = (legendre_pgf_table(max_n // 2 if sections == "even" else max_n)
+                      if sections in ("all", "even", "legendre") else None)
+    for name, parity in (("even", 0), ("odd", 1)):
+        if sections in ("all", name):
+            rows.extend(_check_parity(max_n, order, cap, parity, dp_table, legendre_table,
+                                      evens, even, odd))
+    if sections == "all":
+        rows.append(_check_ratio_form(order, dp_table))
     if sections in ("all", "csaki"):
         rows.extend(_check_csaki(order, cap))
     if sections in ("all", "cond"):
-        rows.extend(_check_cond(max_n // 2 if sections == "all" else max_n, cap))
+        rows.extend(_check_cond(max_n, cap))
     if sections in ("all", "legendre"):
         rows.extend(_check_legendre(max_n, legendre_table, evens))
     return VerifyReport(rows=tuple(rows), strict_csaki=strict_csaki)

@@ -3,6 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coinwalk import montecarlo
 from coinwalk.distributions import Distribution, law
@@ -161,6 +162,20 @@ class TestReporting:
     def test_tv_disjoint(self):
         d = Distribution.from_counts([1, 0], 1)
         assert tv_distance((0, 10), d) == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 300).flatmap(lambda m: st.tuples(
+        st.lists(st.integers(0, 10**6), min_size=m + 1, max_size=m + 1).filter(any),
+        st.none() | st.lists(st.integers(0, 3), min_size=m + 1, max_size=m + 1).filter(any),
+    )))
+    def test_tv_matches_fraction_reference(self, case):
+        # the closed law, or counts whose trailing zeros the law's PGF drops
+        hist, counts = case
+        exact = law(len(hist) - 1) if counts is None else Distribution.from_counts(
+            counts, sum(counts))
+        samples = sum(hist)
+        want = 0.5 * sum(abs(h / samples - float(p)) for h, p in zip(hist, exact.mass))
+        assert tv_distance(hist, exact) == want
 
     def test_tv_support_mismatch(self):
         with pytest.raises(DomainError):

@@ -207,9 +207,11 @@ class TestRunVerify:
         assert skipped
         assert report.passed
 
-    def test_cond_section_uses_max_n_directly(self):
-        report = run_verify(max_n=5, sections="cond")
-        assert [r.n for r in report.rows] == [1, 2, 3, 4, 5]
+    @pytest.mark.parametrize("max_n", [5, 6])
+    def test_cond_section_reaches_walk_length_max_n(self, max_n):
+        # row n enumerates a walk of 2n steps, as in the full run
+        report = run_verify(max_n=max_n, sections="cond")
+        assert [r.n for r in report.rows] == list(range(1, max_n // 2 + 1))
 
     def test_section_without_rows_fails(self):
         report = run_verify(max_n=0, sections="cond")  # cond starts at n = 1
@@ -221,9 +223,10 @@ class TestRunVerify:
         assert report.passed
         assert all(r.ok for r in report.rows)
 
-    @pytest.mark.parametrize("sections,max_n,route", [("cond", 17, "cond"), ("odd", 33, "oracle")])
+    @pytest.mark.parametrize("sections,max_n,route", [("cond", 34, "cond"), ("odd", 33, "oracle")])
     def test_cap_above_32_steps_is_honoured(self, monkeypatch, sections, max_n, route):
-        # the cap is the only limit: walks past 32 steps are compared, not skipped
+        # the cap is the only limit: walks past 32 steps are compared, not skipped;
+        # a cond row n enumerates a walk of 2n steps
         def closed_law_counts(n, rule):
             hist = tuple(int(p * 2**n) for p in law(n).mass) + (0,)
             return WalkStats(n, rule, hist, (0,) * (n + 2))
@@ -231,7 +234,7 @@ class TestRunVerify:
         monkeypatch.setattr("coinwalk.oracle._enumerate", closed_law_counts)
         report = run_verify(max_n=max_n, order=2, sections=sections, cap=40)
         last = rows_by_route(report, route)[-1]
-        assert last.n == max_n
+        assert (2 * last.n if route == "cond" else last.n) == max_n
         assert last.status != "skipped:cap"
 
     def test_agreement_at_n_128(self):
@@ -247,6 +250,29 @@ class TestRunVerify:
                if r.status.startswith("mismatch") and r.route not in ("csaki", "ratio-form")]
         assert bad == []
         assert {r.n for r in rows_by_route(report, "series")} == set(range(257))
+
+    @pytest.mark.parametrize("max_n", range(13))
+    def test_section_is_the_full_run_filtered_to_its_routes(self, max_n):
+        def section(row):
+            if row.route in ("csaki", "cond"):
+                return row.route
+            if row.route.startswith(("legendre-two-route", "lagrange")):
+                return "legendre"
+            if row.route == "ratio-form":
+                return None
+            return ("even", "odd")[row.n % 2]  # the parity routes, at their own lengths
+
+        def key(row):
+            return row.route, row.n, row.status, row.got, row.size
+
+        for order in {1, max_n // 2 + 1, max_n + 1, max_n + 5}:
+            for cap in (0, 4, 8):
+                for strict_csaki in (False, True):
+                    full = run_verify(max_n, order, "all", cap, strict_csaki).rows
+                    for name in SECTIONS[1:]:
+                        got = run_verify(max_n, order, name, cap, strict_csaki).rows
+                        assert [key(r) for r in got] == [
+                            key(r) for r in full if section(r) == name], (name, order, cap)
 
     @pytest.mark.parametrize("max_n", [7, 21])
     @pytest.mark.parametrize("sections", SECTIONS)
