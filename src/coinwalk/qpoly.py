@@ -10,11 +10,12 @@ arithmetic plus one gcd reduction of its result; ``coeffs`` hands out
 Fractions only at the boundary.  ``+``, ``-`` and ``==`` take QPolys only
 (a QPoly never equals a scalar); an int or Fraction only multiplies, as a
 one-pass ``scale``.  A sum or difference brings both numerator lists to the
-lcm denominator inside its one summing pass.  Division is integer long
-division that rescales by the divisor's leading coefficient only when a
-leading term is not a multiple of it: never for the divisors q+1, 1-q^2,
-1+q+q^2+q^3 with lead +-1, often for the constants 2 and -16 the series
-routes divide by.  It is exact-or-loud: a nonzero remainder raises
+lcm denominator inside its one summing pass.  Division is integer
+pseudo-division: the dividend is scaled once by |lead|^k, for the divisor's
+leading coefficient and the k quotient steps, and every step then divides
+exactly.  The factor is 1 for the divisors q+1, 1-q^2, 1+q+q^2+q^3 with lead
++-1, and a power of 2 or 16 for the constants 2 and -16 the series routes
+divide by.  It is exact-or-loud: a nonzero remainder raises
 :class:`~coinwalk.errors.InexactDivision` instead of being discarded, because
 every division performed here encodes an identity that is supposed to hold
 exactly.
@@ -154,7 +155,7 @@ class QPoly:
         return _add(self, other, 1)
 
     def __neg__(self) -> "QPoly":
-        return QPoly._make([-c for c in self._nums], self._den)
+        return self.scale(-1)
 
     def __sub__(self, other) -> "QPoly":
         if not isinstance(other, QPoly):
@@ -193,9 +194,6 @@ class QPoly:
         return QPoly._make(out, den)
 
     def scale(self, s: Scalar) -> "QPoly":
-        if isinstance(s, int):
-            return QPoly._make([c * s for c in self._nums], self._den)
-        s = Fraction(s)
         num = s.numerator
         return QPoly._make([c * num for c in self._nums], self._den * s.denominator)
 
@@ -228,9 +226,11 @@ class QPoly:
     def divmod(self, div: "QPoly") -> tuple["QPoly", "QPoly"]:
         """Quotient and remainder of polynomial long division.
 
-        Runs on the integer numerators: rem and quot share one integer scale,
-        raised by |lead| / gcd only when a leading term is not a multiple of
-        the divisor's lead (never, for a lead of +-1).
+        Pseudo-division on the integer numerators: the dividend is scaled
+        once by |lead|^k, for the divisor's lead and the k quotient steps, so
+        each step's leading term is an exact multiple of the lead (by
+        induction, step t leaves the rest a multiple of |lead|^(k-t-1)).  The
+        factor is 1 for a lead of +-1.
         """
         if div.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
@@ -239,23 +239,15 @@ class QPoly:
             return QPoly(), self
         divisor = div._nums
         lead = divisor[-1]
-        rem = list(self._nums)
+        scale = abs(lead) ** (len(self._nums) - dd)
+        rem = [x * scale for x in self._nums]
         quot = [0] * (len(rem) - dd)
-        scale = 1  # the true remainder and quotient are rem/scale and quot/scale
         for i in range(len(rem) - 1, dd - 1, -1):
-            c = rem[i]
-            if not c:
-                continue
-            if c % lead:
-                m = abs(lead) // math.gcd(c, lead)
-                rem = [x * m for x in rem]
-                quot = [x * m for x in quot]
-                scale *= m
-                c *= m
-            f = c // lead
-            quot[i - dd] = f
-            for j, d in enumerate(divisor, i - dd):
-                rem[j] -= f * d
+            f = rem[i] // lead
+            if f:
+                quot[i - dd] = f
+                for j, d in enumerate(divisor, i - dd):
+                    rem[j] -= f * d
         # nums = (quot/scale) div_nums + rem/scale; dividing by this den and
         # writing div = div_nums/div_den gives quotient quot div_den/(scale den)
         den = scale * self._den

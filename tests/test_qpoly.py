@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -258,7 +259,7 @@ class TestIntegerKernel:
 
     @given(wide_polys, coeff_lists, wide_fractions.filter(bool))
     def test_divmod(self, a, tail, lead):
-        # a lead of either sign, unit or not; the routes only divide by monic ones
+        # a lead of either sign, unit or not: csaki divides by 2 and the ratio form by -16
         b = QPoly(tail + [lead])
         quot, rem = a.divmod(b)
         assert_canonical(quot)
@@ -273,3 +274,43 @@ class TestIntegerKernel:
             assert_canonical(p)
             assert p == a
             assert hash(p) == hash(a)
+
+
+# the constant series leads, a non-integer constant and a non-monic quadratic
+NON_UNIT_DIVISORS = [QPoly((-16,)), QPoly((2,)), QPoly((F(3, 7),)), QPoly((3, 1, 5))]
+
+
+def long_poly(size, seed):
+    """A seeded polynomial of `size` coefficients with a nonzero lead.
+
+    Odd seeds mix denominators that share factors with the leads (so numerators over
+    their lcm do too), as dyadic laws do; even seeds use denominators prime to every lead.
+    """
+    rng = random.Random(seed)
+    dens = (1, 2, 3, 64, 720) if seed % 2 else (1, 7, 11, 13)
+    cs = [F(rng.randint(-10**6, 10**6), rng.choice(dens)) for _ in range(size)]
+    return QPoly(cs[:-1] + [cs[-1] or 1])
+
+
+class TestLongDivision:
+    """Dividends of 40-120 coefficients, so the dividend's one scaling is |lead|^38 or more."""
+
+    @pytest.mark.parametrize("div", NON_UNIT_DIVISORS, ids=str)
+    @pytest.mark.parametrize("size", [40, 77, 120])
+    def test_divmod_matches_reference(self, div, size):
+        for seed in range(5):
+            a = long_poly(size, seed)
+            quot, rem = a.divmod(div)
+            assert_canonical(quot)
+            assert_canonical(rem)
+            assert (ref(quot), ref(rem)) == ref_divmod(ref(a), ref(div))
+            # a constant divides exactly; these dividends leave the quadratic a remainder
+            assert rem.is_zero() == (div.degree == 0)
+
+    @pytest.mark.parametrize("div", NON_UNIT_DIVISORS, ids=str)
+    @pytest.mark.parametrize("size", [40, 77, 120])
+    def test_exact_division(self, div, size):
+        want = long_poly(size - div.degree, size)
+        got = (want * div).divide_exact(div)
+        assert_canonical(got)
+        assert got == want
