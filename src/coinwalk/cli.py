@@ -16,6 +16,7 @@ import csv
 import json
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 from typing import Iterable
@@ -155,7 +156,22 @@ def _seed(text: str) -> int:
     return value
 
 
+# Fraction turns a decimal exponent into a power of ten before anything reads
+# it, so a nine-character argument such as 1e999999 stands for a million-digit
+# integer.  Each coefficient `lagrange` prints has about --order times the
+# argument's digits, and turning an int into a str takes time quadratic in its
+# digits: 10,000 digits, twice the longest value the tests pass (1e5000), keeps
+# a run at the default 10 coefficients near a second.
+_EXACT_DIGITS = 10_000
+_EXPONENT = re.compile(r"e[-+]?(\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
+
 def _fraction(text: str) -> Fraction:
+    exponent = _EXPONENT.search(text)
+    digits = exponent[1].replace("_", "").lstrip("0") if exponent else ""
+    # the value has at most len(text) + |exponent| digits; bound it before it is built
+    if len(digits) > len(str(_EXACT_DIGITS)) or len(text) + int(digits or 0) > _EXACT_DIGITS:
+        raise argparse.ArgumentTypeError(f"more than {_EXACT_DIGITS} digits: {text!r}")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):

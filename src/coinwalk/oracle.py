@@ -10,18 +10,20 @@ narrowest type that cannot overflow.  Its unit is the pair of steps
 (2j, 2j+1), j = 0..n // 2, with steps 0 and n+1 virtual zero bits; `advance`
 updates the state at every pair and `read` reads the counts out.
 `_count_walks`, a fresh state advanced over every pair and read, also counts
-the Monte Carlo walks.  Enumeration runs every path of each 2^16-path block
-through it, steps up to 16 from a bit table of the ids built once per
-process, each higher step as one int for the block.  The pairs the table's
-steps fill alone, (0, b_1), (b_2, b_3), ..., are the same in every block, so
-one loop serves every n: the kernel advances them once per n, and each block
-restores that state into its own buffers (up to 16 steps, the one block's
-state is that state itself) and advances it by the block's other pairs, from
-(b_16, b_17) on: each path is still counted in its own slot, step by step,
-from its own bits.  One bincount per block tallies the joint key
-(cf * (n+2) + nn) * 2 + [S_{n-1} > 0], summed down to each rule's WalkStats at
-the end.  `count_positive` is the plain per-path reference both routes are
-tested with.
+the Monte Carlo walks, a 1-D block at a time.  Enumeration runs every path of
+each block of min(2^16, 2^n) paths through it, as a grid of rows of up to
+4096 paths, path id = row * width + col: steps 1..12 are the bits of col,
+read-only rows cached once per process, steps 13..16 the bits of row, cached
+columns, and `up += x` broadcasts either over the grid; each higher step is
+one int for the block.  The pairs these cached steps fill alone, (0, b_1),
+(b_2, b_3), ..., are the same in every block, so one loop serves every n: the
+kernel advances them once per n, and each block restores that state into its
+own buffers (up to 16 steps, the one block's state is that state itself) and
+advances it by the block's other pairs, from (b_16, b_17) on: each path is
+still counted in its own slot, step by step, from its own bits.  One bincount
+per block tallies the joint key (cf * (n+2) + nn) * 2 + [S_{n-1} > 0], summed
+down to each rule's WalkStats at the end.  `count_positive` is the plain
+per-path reference both routes are tested with.
 
 Two counting rules, with u_k the up-steps among the first k, so S_k = 2u_k - k:
 
@@ -53,6 +55,7 @@ from .errors import CapExceeded, DomainError
 DEFAULT_CAP = 24
 
 _BLOCK = 1 << 16  # walks per block: each 8-bit vector is 64 KB, cache-resident
+_ROW = 1 << 12  # the most walks per row of an enumeration block's grid
 
 
 class PositivityRule(enum.Enum):
@@ -132,7 +135,7 @@ def _pairs(steps: Sequence[_Bits]) -> list[_Pair]:
 
 
 class _WalkState:
-    """Where `size` walks of n steps stand after their first `pairs` pairs of steps.
+    """Where an array of `shape` walks of n steps stands after their first `pairs` pairs of steps.
 
     The kernel's unit is the pair of steps (2j, 2j+1), j = 0..n // 2, where
     steps 0 and n+1 are virtual zero bits.  Per walk, `up` holds u, the
@@ -144,13 +147,13 @@ class _WalkState:
     which the state is spent.
     """
 
-    def __init__(self, n: int, size: int, rules: Sequence[PositivityRule]):
+    def __init__(self, n: int, shape: int | tuple[int, ...], rules: Sequence[PositivityRule]):
         signed, unsigned = _widths(n)
         self.n = n
         self.pairs = 0
-        self.up = np.zeros(size, unsigned)
-        self.odd = np.zeros(size, signed)
-        self.even = np.zeros(size, signed) if PositivityRule.NON_NEGATIVE in rules else None
+        self.up = np.zeros(shape, unsigned)
+        self.odd = np.zeros(shape, signed)
+        self.even = np.zeros(shape, signed) if PositivityRule.NON_NEGATIVE in rules else None
 
     def restore(self, saved: _WalkState) -> _WalkState:
         """Copy `saved`, a state of the same walks' length and rules, into these buffers."""
@@ -164,11 +167,11 @@ class _WalkState:
         """Run pairs `self.pairs` onwards in place.
 
         `pairs` yields (x, y), the 0/1 bits of steps 2j and 2j+1 (set bit =
-        +1), each a vector over the walks, best in the unsigned type of
-        `_widths(n)`, or one int shared by all of them.  Chung-Feller counts
-        steps 2j+1 and 2j+2 together, both iff u_{2j+1} >= j+1, and
-        non-negative counts step k iff 2u_k >= k, which at odd k is the same
-        compare.  So one pass serves every rule: a pair is `up += x`, for
+        +1), each an array that broadcasts over the walks' shape, best in the
+        unsigned type of `_widths(n)`, or one int shared by all of them.
+        Chung-Feller counts steps 2j+1 and 2j+2 together, both iff u_{2j+1}
+        >= j+1, and non-negative counts step k iff 2u_k >= k, which at odd k
+        is the same compare.  So one pass serves every rule: a pair is `up += x`, for
         NON_NEGATIVE the even compare u >= j, `up += y` and, when 2j+1 <= n,
         the odd compare u >= j+1.  A pass without NON_NEGATIVE never reads u
         at even k, so its source may feed (0, x + y).  The flags add up in
@@ -176,11 +179,11 @@ class _WalkState:
         added into the wider counts every `_FLUSH` pairs and at the end of
         the pass).
         """
-        up, odd, even, size, n = self.up, self.odd, self.even, self.up.size, self.n
+        up, odd, even, shape, n = self.up, self.odd, self.even, self.up.shape, self.n
         wide = odd.dtype.type is not np.int8  # then the flags add up in int8 tallies of their own
         if wide:
-            odd, even = np.zeros(size, np.int8), None if even is None else np.zeros(size, np.int8)
-        flag = np.empty(size, dtype=bool)
+            odd, even = np.zeros(shape, np.int8), None if even is None else np.zeros(shape, np.int8)
+        flag = np.empty(shape, dtype=bool)
         flag_int = flag.view(np.int8)  # int8 += int8, the fastest numpy add
         j = self.pairs - 1
         for j, (x, y) in enumerate(pairs, self.pairs):
@@ -225,10 +228,10 @@ class _WalkState:
         return tuple(counts[rule] for rule in rules), self.up.view(self.odd.dtype)
 
 
-def _count_walks(pairs: Iterable[_Pair], n: int, size: int, rules: Sequence[PositivityRule]
-                 ) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """Counts under each of `rules`, and final sums, of `size` walks of n steps, in one pass."""
-    return _WalkState(n, size, rules).advance(pairs).read(rules)
+def _count_walks(pairs: Iterable[_Pair], n: int, shape: int | tuple[int, ...],
+                 rules: Sequence[PositivityRule]) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """Counts under each of `rules`, and final sums, of walks of n steps of `shape`, in one pass."""
+    return _WalkState(n, shape, rules).advance(pairs).read(rules)
 
 
 def _enumerate(n: int, rule: PositivityRule) -> WalkStats:
@@ -237,34 +240,49 @@ def _enumerate(n: int, rule: PositivityRule) -> WalkStats:
 
 
 @lru_cache(maxsize=1)
-def _bit_table() -> np.ndarray:
-    """Bits 0..15 of the ids 0.._BLOCK-1, one read-only uint8 row per step: row k is bit k."""
-    ids = np.arange(_BLOCK, dtype=np.uint16)
-    table = np.empty((16, _BLOCK), dtype=np.uint8)
-    for k, row in enumerate(table):
-        np.bitwise_and(ids >> k, 1, out=row, casting="unsafe")  # each bit fits a uint8
-    table.flags.writeable = False
+def _bit_table() -> tuple[np.ndarray, ...]:
+    """Steps 1..16 of a block's grid of _BLOCK // _ROW rows by _ROW columns, read-only uint8.
+
+    Path id = row * _ROW + col.  Item k - 1 is step k's bits, bit k - 1 of
+    the ids: for k <= 12 bit k - 1 of col, a row of shape (_ROW,), and for
+    k > 12 bit k - 13 of row, a column of shape (_BLOCK // _ROW, 1).  Either
+    broadcasts over the grid, so no step's bits fill a block: about 48 KB.
+    """
+    along = _ROW.bit_length() - 1  # steps that vary along a row
+    cols, rows = np.arange(_ROW), np.arange(_BLOCK // _ROW)[:, None]
+    table = tuple(((cols >> k if k < along else rows >> (k - along)) & 1).astype(np.uint8)
+                  for k in range(_BLOCK.bit_length() - 1))
+    for bits in table:
+        bits.flags.writeable = False
     return table
 
 
 @lru_cache(maxsize=None)
 def _enumerate_rules(n: int) -> dict[PositivityRule, WalkStats]:
-    """WalkStats of both rules from one kernel pass and one bincount per block."""
+    """WalkStats of both rules from one kernel pass and one bincount per block.
+
+    A block is a C-contiguous grid of walks, min(_ROW, block) to a row, and
+    path id = row * width + col within it.  Its state, key and flags are
+    grids; the step bits are `_bit_table`'s rows and columns, cut to the
+    grid, so every one of them is at most _ROW bytes.
+    """
     rules = (PositivityRule.CHUNG_FELLER, PositivityRule.NON_NEGATIVE)
     width = n + 2
     unsigned = _widths(n)[1]
     tally = np.zeros((width, width, 2), dtype=np.int64)  # by key (cf * width + nn) * 2 + pos
     block = min(_BLOCK, 1 << n)
     low = block.bit_length() - 1  # steps 1..low vary inside a block
-    table = list(_bit_table()[:low, :block])  # row k - 1 is step k's bits
-    key = np.empty(block, dtype=np.int16 if tally.size <= 1 << 15 else np.intp)
-    positive = np.zeros(block, dtype=bool)  # pos = [S_{n-1} > 0], never for n < 2
+    grid = (block // min(_ROW, block), min(_ROW, block))
+    # item k - 1 is step k's bits, cut to the grid along the one axis they vary on
+    table = [bits[:grid[-bits.ndim]] for bits in _bit_table()[:low]]
+    key = np.empty(grid, dtype=np.int16 if tally.size <= 1 << 15 else np.intp)
+    positive = np.zeros(grid, dtype=bool)  # pos = [S_{n-1} > 0], never for n < 2
     # the pairs the table's steps fill alone are the same in every block:
     # count them once (all of them up to 16 steps, else (0, b_1)..(b_14, b_15));
     # from (b_16, b_17) on, each block's walks resume from their own slots
     whole = n // 2 + 1 if n == low else low // 2
-    prefix = _WalkState(n, block, rules).advance(_pairs(table)[:whole])
-    state = prefix if n == low else _WalkState(n, block, rules)
+    prefix = _WalkState(n, grid, rules).advance(_pairs(table)[:whole])
+    state = prefix if n == low else _WalkState(n, grid, rules)
     for start in range(0, 1 << n, block):
         high = [(start >> k) & 1 for k in range(low, n)]
         (cf, nn), sums = state.restore(prefix).advance(_pairs(table + high)[whole:]).read(rules)
@@ -275,7 +293,7 @@ def _enumerate_rules(n: int) -> dict[PositivityRule, WalkStats]:
         nn += positive.view(np.uint8)
         np.multiply(cf, 2 * width, out=key, dtype=key.dtype)  # on the int8 counts it would wrap
         key += nn
-        tally += np.bincount(key, minlength=tally.size).reshape(tally.shape)
+        tally += np.bincount(key.ravel(), minlength=tally.size).reshape(tally.shape)
     return {rule: WalkStats(n=n, rule=rule, count_hist=tuple(int(c) for c in joint.sum(axis=1)),
                             joint_pos=tuple(int(c) for c in joint[:, 1]))
             for rule, joint in zip(rules, (tally.sum(axis=1), tally.sum(axis=0)))}

@@ -205,6 +205,17 @@ class TestLongIntegers:
         assert exc.value.code == 2
         assert "--n" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name,value", [("--a", "1e999999"), ("--b", "-2.5E-999_999"),
+                                            ("--a", "1e" + "9" * 5000)])
+    def test_exponent_past_the_digit_bound_is_a_usage_error(self, capsys, name, value):
+        # refused before Fraction builds the power of ten
+        exact = {"--a": "0", "--b": "0", name: value}
+        with pytest.raises(SystemExit) as exc:
+            main(["lagrange", f"--a={exact['--a']}", f"--b={exact['--b']}", "--order", "3"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {name}: more than 10000 digits" in err
+
 
 class TestConditional:
     def test_all_equal(self, capsys):

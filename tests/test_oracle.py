@@ -154,21 +154,22 @@ class TestCountingKernel:
             assert [c.dtype for c in counts] == [c.dtype for c in whole]
             assert sums.dtype == whole_sums.dtype
 
-    @pytest.mark.parametrize("n", [0, 1, 5, 16, 17, 18, 21])
+    @pytest.mark.parametrize("n", [0, 1, 5, 12, 13, 16, 17, 18, 21])
     def test_table_steps_once_then_one_resumed_pass_per_block(self, monkeypatch, n):
         # one loop for every n: the pairs the table's min(n, 16) steps fill
         # alone are advanced once, then each block advances by the rest and is
-        # read; up to 16 steps, the one block reads the prefix state itself
+        # read; up to 16 steps, the one block reads the prefix state itself.
+        # Every state is a grid of the block's walks, at most 4096 to a row
         calls = []
 
         class Recording(oracle._WalkState):
-            def __init__(self, length, size, rules):
-                calls.append(("new", length, size, rules))
-                super().__init__(length, size, rules)
+            def __init__(self, length, shape, rules):
+                calls.append(("new", length, shape, rules))
+                super().__init__(length, shape, rules)
 
             def advance(self, pairs):
                 pairs = list(pairs)
-                calls.append(("advance", self.pairs, len(pairs), self.up.size))
+                calls.append(("advance", self.pairs, len(pairs), self.up.shape))
                 return super().advance(pairs)
 
             def read(self, rules):
@@ -179,36 +180,47 @@ class TestCountingKernel:
         oracle._enumerate_rules.cache_clear()
         cf, nn = enumerate_walks(n, CF), enumerate_walks(n, NN)
         size, total = min(2**n, oracle._BLOCK), n // 2 + 1
+        grid = (size // min(size, 4096), min(size, 4096))
         whole = total if n <= 16 else 8  # pairs (0, 1), (2, 3), ..., (14, 15) of steps 0..15
-        new = ("new", n, size, (CF, NN))
-        block = [("advance", whole, total - whole, size), ("read", total, (CF, NN))]
-        prefix = [new, ("advance", 0, whole, size)]
+        new = ("new", n, grid, (CF, NN))
+        block = [("advance", whole, total - whole, grid), ("read", total, (CF, NN))]
+        prefix = [new, ("advance", 0, whole, grid)]
         assert calls == prefix + ([] if n <= 16 else [new]) + block * 2 ** (n - min(n, 16))
         assert cf.rule is CF and nn.rule is NN
 
-    @pytest.mark.parametrize("n", [17, 18])
+    @pytest.mark.parametrize("n", [0, 7, 12, 13, 16, 17, 18])
     def test_resumed_blocks_match_fresh_blocks(self, n):
-        # the reference counts every block from fresh state over all n steps
-        width = n + 2
+        # the reference counts every block from fresh 1-D state over all n
+        # steps, from the plain bits of the ids; the n cover a grid of one
+        # row, of rows of 4096, one block and many blocks
+        width, block = n + 2, min(2**n, oracle._BLOCK)
         tally = np.zeros((width, width, 2), dtype=np.int64)
-        table = oracle._bit_table()
-        for start in range(0, 1 << n, oracle._BLOCK):
+        ids = np.arange(block)
+        table = [((ids >> k) & 1).astype(np.uint8) for k in range(min(n, 16))]
+        for start in range(0, 1 << n, block):
             bits = [*table, *((start >> k) & 1 for k in range(16, n))]
-            (cf, nn), sums = _count_walks(pair_bits(bits), n, oracle._BLOCK, (CF, NN))
-            positive = (sums >= 2 * bits[-1]).astype(np.intp)  # S_{n-1} > 0
-            np.add.at(tally, (cf.astype(np.intp), nn.astype(np.intp), positive), 1)
+            (cf, nn), sums = _count_walks(pair_bits(bits), n, block, (CF, NN))
+            positive = (sums >= 2 * bits[-1]) if n >= 2 else np.zeros(block, bool)  # S_{n-1} > 0
+            np.add.at(tally, (cf.astype(np.intp), nn.astype(np.intp), positive.astype(np.intp)), 1)
         stats = oracle._enumerate_rules(n)
         assert stats[CF].count_hist == tuple(tally.sum(axis=(1, 2)).tolist())
         assert stats[CF].joint_pos == tuple(tally[:, :, 1].sum(axis=1).tolist())
         assert stats[NN].count_hist == tuple(tally.sum(axis=(0, 2)).tolist())
         assert stats[NN].joint_pos == tuple(tally[:, :, 1].sum(axis=0).tolist())
 
-    def test_bit_table_matches_plain_bits(self):
+    def test_grid_broadcasts_the_plain_bits(self):
+        # path id = row * 4096 + col: step k + 1 of id is (id >> k) & 1 at
+        # (id // 4096, id % 4096), from a read-only row or column of the grid,
+        # none of them 2^16 bits long
+        rows, cols = oracle._BLOCK // 4096, 4096
+        ids = np.arange(oracle._BLOCK)
         table = oracle._bit_table()
-        want = bytes((i >> k) & 1 for k in range(16) for i in range(oracle._BLOCK))
-        assert table.shape == (16, oracle._BLOCK) and table.dtype == np.uint8
-        assert table.tobytes() == want
-        assert not table.flags.writeable
+        assert len(table) == 16
+        for k, bits in enumerate(table):
+            assert bits.shape == ((cols,) if k < 12 else (rows, 1)) and bits.dtype == np.uint8
+            assert not bits.flags.writeable
+            grid = np.broadcast_to(bits, (rows, cols))
+            assert np.array_equal(grid[ids // cols, ids % cols], (ids >> k) & 1)
 
 
 class TestEnumerate:
