@@ -407,6 +407,10 @@ class TestPinnedOutput:
         "series --which odd --order 60": "054bc2adb4901122",
         "series --which odd-ratio --order 60": "054bc2adb4901122",
         "series --which ratio --order 60": "3de04d71e93ea9bb",
+        # csv with a bool column, under the cf rule, and with empty skipped:cap payloads
+        "conditional --n 6": "522c0a455486a5f2",
+        "oracle --n 9": "0aaba9a491e98cb5",
+        "verify --max-n 10 --cap 4 --format csv": "c483b053fa00ac98",
     }
 
     @pytest.mark.parametrize("argv", sorted(PINS))
