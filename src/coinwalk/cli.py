@@ -4,6 +4,10 @@ Value tables use the fixed columns n, index, exact, decimal.  The exact column
 is the reduced fraction num/den, formatted straight from the integer storage
 of the law or polynomial; the decimal column (15 significant digits) exists
 only for plotting, and prints inf or -inf for a value beyond float range.
+Every csv and json table goes through one writer, `_emit`.  Its csv lines are
+csv.writer's for every field printed here: a field is quoted only when it
+holds a comma (a verify payload, a route like lagrange[a=5/4,b=3/8]), and no
+field holds a quote, CR or LF.
 Exit codes: 0 success; 1 verification mismatch, including an exact identity
 whose division leaves a remainder; 2 usage error, including a size past this
 machine's memory or index range.
@@ -12,13 +16,13 @@ machine's memory or index range.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
 import re
 import sys
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable
 
 from .distributions import _counts, conditional_positive, law, pgf
@@ -104,35 +108,32 @@ def _dec(num: int, den: int) -> str:
 
 
 def _emit(header: tuple[str, ...], rows: Iterable[tuple], fmt: str):
-    """Emit `rows`, tuples in `header`'s column order, as csv or as a json list of objects."""
+    """Emit `rows`, tuples in `header`'s column order, as csv or as a json list of objects.
+
+    The only table writer.  A csv line is its fields' str joined by commas and
+    ended by CRLF, a field quoted only when it holds a comma: csv.writer's
+    bytes, since no field printed here holds a quote, CR or LF.
+    """
+    write = sys.stdout.write
     if fmt == "json":  # json.dumps([dict(zip(header, row)) for row in rows]), a row at a time
-        write = sys.stdout.write
         write("[")
         for i, row in enumerate(rows):
             text = json.dumps(dict(zip(header, row)))
             write(", " + text if i else text)
         write("]\n")
     else:
-        writer = csv.writer(sys.stdout)
-        writer.writerow(header)
-        writer.writerows(rows)
+        for row in chain((header,), rows):
+            write(",".join([f'"{f}"' if "," in f else f for f in map(str, row)]) + "\r\n")
 
 
 def _emit_values(tables, fmt: str):
     """Emit (n, nums, den) triples, value j = nums[j] / den, as the value table."""
     dens = {}
-    rows = (
-        (n, j, _exact(c, den, dens), _dec(c, den))
-        for n, nums, den in tables
-        for j, c in enumerate(nums or (0,))  # () is the zero polynomial: row n,0,0,0
-    )
-    if fmt == "json":
-        _emit(("n", "index", "exact", "decimal"), rows, fmt)
-        return
-    write = sys.stdout.write
-    write("n,index,exact,decimal\r\n")
-    for row in rows:  # no field holds a comma, quote, CR or LF: csv.writer's bytes
-        write("%s,%s,%s,%s\r\n" % row)
+    _emit(("n", "index", "exact", "decimal"),
+          ((n, j, _exact(c, den, dens), _dec(c, den))
+           for n, nums, den in tables
+           for j, c in enumerate(nums or (0,))),  # () is the zero polynomial: row n,0,0,0
+          fmt)
 
 
 def _nonneg(text: str) -> int:

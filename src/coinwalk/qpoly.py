@@ -230,7 +230,8 @@ class QPoly:
         once by |lead|^k, for the divisor's lead and the k quotient steps, so
         each step's leading term is an exact multiple of the lead (by
         induction, step t leaves the rest a multiple of |lead|^(k-t-1)).  The
-        factor is 1 for a lead of +-1.
+        factor is 1 for a lead of +-1, and |lead| for a constant divisor, where
+        each step touches only its own coefficient.
         """
         if div.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
@@ -239,7 +240,7 @@ class QPoly:
             return QPoly(), self
         divisor = div._nums
         lead = divisor[-1]
-        scale = abs(lead) ** (len(self._nums) - dd)
+        scale = abs(lead) ** (len(self._nums) - dd if dd else 1)
         rem = [x * scale for x in self._nums]
         quot = [0] * (len(rem) - dd)
         for i in range(len(rem) - 1, dd - 1, -1):

@@ -183,6 +183,52 @@ class TestValueColumns:
         assert counts[0] == counts[1]  # as many Fractions for 14 rows as for 7
 
 
+def _emitted_csv(header, rows):
+    out = io.StringIO(newline="")
+    with redirect_stdout(out):
+        cli._emit(header, rows, "csv")
+    return out.getvalue()
+
+
+def _csv_writer_bytes(header, rows):
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
+
+
+# the characters of every field the command line prints: digits, fractions,
+# decimals such as -1e+300 and inf, payloads, routes, statuses
+_CSV_TEXT = st.text(alphabet="0123456789/-+.,=[]@:_abefinorsz", max_size=12)
+
+
+class TestCsvWriter:
+    # csv.writer is the reference: the one line writer must give its bytes
+    HEADER = ("route", "n", "payload", "status")
+
+    def test_crafted_rows(self):
+        rows = [("lagrange[a=5/4,b=3/8]", 3, "1/2,0,-3/7", True),
+                ("oracle", 6, "", "skipped:cap"),
+                ("even", 0, "1", False),
+                ("r", -12, "4001/8192", "1e+300")]
+        assert _emitted_csv(self.HEADER, rows) == _csv_writer_bytes(self.HEADER, rows)
+
+    @given(st.lists(st.tuples(_CSV_TEXT, st.integers(), st.booleans(), _CSV_TEXT), max_size=5))
+    def test_drawn_rows(self, rows):
+        assert _emitted_csv(self.HEADER, rows) == _csv_writer_bytes(self.HEADER, rows)
+
+    def test_verify_report_reads_back(self, capsys):
+        code, out, _ = run(capsys, "verify", "--max-n", "64", "--cap", "16", "--format", "csv")
+        rows = list(csv.reader(io.StringIO(out, newline="")))
+        assert code == 0 and len(rows) > 1
+        assert any("," in field for row in rows[1:] for field in row)  # quoted payloads
+        # compared by digest: pytest's diff of two 3 MB reports would take minutes
+        digest = [hashlib.sha256(text.encode()).hexdigest()
+                  for text in (_csv_writer_bytes(rows[0], rows[1:]), out)]
+        assert digest[0] == digest[1]
+
+
 class TestLongIntegers:
     @pytest.fixture
     def default_digit_limit(self):
