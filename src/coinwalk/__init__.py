@@ -4,7 +4,13 @@ Four independent computation routes (closed formulas, a lattice recursion,
 formal power-series expansion, exhaustive enumeration) plus a seeded Monte
 Carlo check, all over exact rationals, with a harness that cross-verifies
 them coefficient by coefficient.
+
+The names of the numpy-backed modules (`montecarlo`, `oracle`, and
+`verify`, which imports `oracle`) resolve on first access, so importing the
+package does not import numpy.
 """
+
+import importlib
 
 from .distributions import (
     Distribution,
@@ -32,24 +38,6 @@ from .legendre import (
     odd_pgf_via_ratio,
     odd_pgf_via_three_term,
 )
-from .montecarlo import (
-    SimConfig,
-    arcsine_cdf,
-    arcsine_sup_distance,
-    simulate,
-    splitmix64,
-    tv_distance,
-    walk_steps,
-)
-from .oracle import (
-    DEFAULT_CAP,
-    PositivityRule,
-    WalkStats,
-    count_positive,
-    enumerate_walks,
-    oracle_conditional,
-    oracle_distribution,
-)
 from .qpoly import QPoly, binomial, format_poly
 from .series import (
     BivariateSeries,
@@ -60,7 +48,29 @@ from .series import (
     pgf_series_odd_ratio,
     pgf_series_ratio,
 )
-from .verify import ReportRow, VerifyReport, run_verify
+
+# name -> the module that defines it, imported when the name is first read
+_LAZY = {
+    **dict.fromkeys(("SimConfig", "arcsine_cdf", "arcsine_sup_distance", "simulate",
+                     "splitmix64", "tv_distance", "walk_steps"), "montecarlo"),
+    **dict.fromkeys(("DEFAULT_CAP", "PositivityRule", "WalkStats", "count_positive",
+                     "enumerate_walks", "oracle_conditional", "oracle_distribution"), "oracle"),
+    **dict.fromkeys(("ReportRow", "VerifyReport", "run_verify"), "verify"),
+}
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is not None:
+        return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    if name in _LAZY.values():  # the module itself, bound here once it is imported
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(globals().keys() | _LAZY.keys() | set(_LAZY.values()))
+
 
 __version__ = "0.1.0"
 

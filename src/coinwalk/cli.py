@@ -25,8 +25,13 @@ from fractions import Fraction
 from itertools import chain
 from typing import Iterable
 
-from .distributions import _counts, conditional_positive, law, pgf
-from .errors import CoinwalkError, InexactDivision
+# No command makes a BLAS call, yet OpenBLAS starts a worker thread per core
+# when numpy is imported; one thread halves that import.  Set before the
+# numpy-backed modules below load, and only when the caller has not set it.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from .distributions import _counts, _law_counts, conditional_positive, law, pgf
+from .errors import CoinwalkError, DomainError, InexactDivision
 from .lattice import dp_pgf
 from .legendre import lagrange_series
 from .montecarlo import SimConfig, arcsine_sup_distance, simulate, tv_distance
@@ -159,11 +164,13 @@ def _seed(text: str) -> int:
 
 # Fraction turns a decimal exponent into a power of ten before anything reads
 # it, so a nine-character argument such as 1e999999 stands for a million-digit
-# integer.  Each coefficient `lagrange` prints has about --order times the
-# argument's digits, and turning an int into a str takes time quadratic in its
-# digits: 10,000 digits, twice the longest value the tests pass (1e5000), keeps
-# a run at the default 10 coefficients near a second.
+# integer.  Coefficient m of `lagrange` has about m times the argument's
+# digits, and turning an int into a str takes time quadratic in its digits:
+# 10,000 digits, twice the longest value the tests pass (1e5000), keeps a run at
+# the default 10 coefficients near a second.  So the last coefficient may have
+# what the default order allows, 9 x 10,000 digits, at any --order.
 _EXACT_DIGITS = 10_000
+_LAGRANGE_DIGITS = 9 * _EXACT_DIGITS
 _EXPONENT = re.compile(r"e[-+]?(\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
 
 
@@ -179,8 +186,29 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a fraction: {text!r}") from None
 
 
+# The count and the prefix sum are about n bits, the row's text about 0.3 n
+# characters.  tracemalloc read a peak of 3.3-4.0 bytes per toss over the first
+# rows of dist --n 200001 and 400001 --cumulative, csv and json; the model
+# doubles it for the allocator and for Pythons whose int-to-str holds more.
+_DIST_BYTES_PER_TOSS = 8
+
+
 def cmd_dist(args) -> int:
-    _emit_values([(args.n, *_counts(law(args.n), args.cumulative))], args.format)
+    """Stream the law of N_n, or its CDF, straight from `_law_counts` to the value table.
+
+    No law is held: each count (or prefix sum) exists while its row is
+    written, so the peak stays flat in n.  A size whose predicted peak
+    exceeds this machine's physical memory is refused before the header.
+    """
+    predicted = _DIST_BYTES_PER_TOSS * args.n
+    try:
+        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no sysconf: only the index range bounds it
+        physical = sys.maxsize
+    if predicted > physical:
+        raise DomainError(f"dist --n {args.n} needs about {predicted / 2**30:.3g} GiB, more "
+                          f"than this machine's {physical / 2**30:.3g} GiB of memory")
+    _emit_values([(args.n, *_law_counts(args.n, args.cumulative))], args.format)
     return 0
 
 
@@ -223,6 +251,12 @@ def cmd_conditional(args) -> int:
 
 
 def cmd_lagrange(args) -> int:
+    # coefficient m carries about m times the longer argument's digits (at least one)
+    digits = max(1, math.log10(2) * max(max(abs(x.numerator), x.denominator).bit_length()
+                                        for x in (args.a, args.b)))
+    if (args.order - 1) * digits > _LAGRANGE_DIGITS:
+        raise DomainError(f"coefficient {args.order - 1} would have about "
+                          f"{(args.order - 1) * digits:.0f} digits, more than {_LAGRANGE_DIGITS}")
     coeffs = lagrange_series(args.a, args.b, args.order)
     if args.format == "text":
         print(",".join(str(c) for c in coeffs))

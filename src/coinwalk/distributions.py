@@ -14,12 +14,17 @@ back at the origin after 2k steps.  With K = ceil(m/2), both come from the
 weights w_r = c_r c_{K-r}, r = 0..K: the law of 2n+1 tosses is the law of
 2n+2 tosses with each atom at 2r split r : (n+1-r) between 2r-1 and 2r.
 Both laws are mirror-symmetric, P(N_m = j) = P(N_m = m - j), because
-w_r = w_{K-r}.  `law` is the one builder: it forms w_0..w_{K//2}, half the
-weights, one at a time by their ratio recurrence (`_weights`), writes the
-counts of slots j <= m/2 straight into the numerator list of the law's PGF,
-over one denominator, 4^K or 4^K K, and fills each slot j > m/2 with the
-same int object as slot m - j.  Each count is computed once and exists once,
-from that list to the writer that prints it.
+w_r = w_{K-r}.  The formula lives in one stream, `_law_counts`: it yields
+the unreduced counts of slots 0..m in index order over one denominator,
+4^K or 4^K K, forming each weight by its ratio recurrence (`_weights`) when
+its first slot is read, and checks them as `Distribution` checks a law.
+`coinwalk dist` writes that stream straight to its table, so no law is held
+and its memory does not grow with m.  `law` is the one builder of a held
+law: it reads the stream to slot m//2, so it forms w_0..w_{K//2}, half the
+weights, writes those counts straight into the numerator list of the law's
+PGF, and fills each slot j > m/2 with the same int object as slot m - j.
+Each count is computed once and exists once, from that list to the writer
+that prints it.
 
 A :class:`Distribution` is stored as its PGF, one ``QPoly`` (integer
 numerators over one denominator), so ``pgf`` is free.  ``mass`` and ``cdf``
@@ -85,32 +90,18 @@ class Distribution:
 def law(m: int) -> Distribution:
     """Law of the positive-step count over m tosses, of either parity.
 
-    With K = ceil(m/2), the weights w_r = c_r c_{K-r}, r = 0..K, serve both
-    parities: w_r at 2r over 4^K when m is even; w_r (K-r) at 2r and w_r r
-    at 2r-1 over 4^K K when m is odd.  Both laws are mirror-symmetric,
-    P(N = j) = P(N = m - j), because w_r = w_{K-r}: so only w_0..w_{K//2}
-    are formed, the counts of slots j <= m/2 are written and reduced by
-    their gcd with the denominator, and every slot j > m/2 holds the same
-    int object as slot m - j.  Each count is computed and held once, in the
+    Built from the first m//2 + 1 counts of `_law_counts(m)`, so only
+    w_0..w_{K//2} are formed: the law is mirror-symmetric, P(N = j) =
+    P(N = m - j), because w_r = w_{K-r}.  Those counts are reduced by their
+    gcd with the denominator, and every slot j > m/2 holds the same int
+    object as slot m - j.  Each count is computed and held once, in the
     list the law's PGF then owns.
     """
-    if m < 0:
-        raise DomainError(f"walk length must be non-negative, got {m}")
-    k = (m + 1) // 2
-    counts = [0] * (m + 1)
-    weights = enumerate(islice(_weights(k), k // 2 + 1))
-    if m % 2 == 0:
-        den = 4**k
-        for r, w in weights:
-            counts[2 * r] = w
-    else:
-        den = 4**k * k
-        for r, w in weights:
-            if r:
-                counts[2 * r - 1] = w * r
-            if 2 * r < k:
-                counts[2 * r] = w * (k - r)
+    counts = [0] * (m + 1)  # refuses a size past memory or index range before any weight
+    nums, den = _law_counts(m)
     half = m // 2 + 1  # slots 0..m//2; slot m - j mirrors slot j
+    for j, c in enumerate(islice(nums, half)):
+        counts[j] = c
     g = math.gcd(den, *counts[:half])
     if g != 1:
         for j in range(half):
@@ -119,6 +110,53 @@ def law(m: int) -> Distribution:
         counts[j] = counts[m - j]
     # already canonical, so _make keeps the shared objects
     return Distribution(m, QPoly._make(counts, den // g))
+
+
+def _law_counts(m: int, cumulative: bool = False) -> tuple[Iterator[int], int]:
+    """(nums, den) for N_m: the j-th num / den is P(N_m = j), or P(N_m <= j) if cumulative.
+
+    The one home of the law's formula.  With K = ceil(m/2), nums yields the
+    unreduced counts of slots 0..m in index order, from the running weight
+    w_r = c_r c_{K-r} (`_weights`): w_r at 2r over 4^K when m is even; w_r r
+    at 2r-1 and w_r (K-r) at 2r over 4^K K when m is odd.  Each weight is
+    formed when its first slot is read, so a reader that stops early forms
+    no more.  The stream checks what `Distribution` checks: a negative count
+    raises as it is read, and counts that do not sum to den raise after the
+    last one.
+    """
+    if m < 0:
+        raise DomainError(f"walk length must be non-negative, got {m}")
+    k = (m + 1) // 2
+    den = 4**k * k if m % 2 else 4**k
+    nums = _slots(m, k, den)
+    return (accumulate(nums) if cumulative else nums), den
+
+
+def _slots(m: int, k: int, den: int) -> Iterator[int]:
+    """The counts of `_law_counts`, checked as they are formed; only the current weight is held.
+
+    Every count is a weight times 1, r or K - r, none negative, and the
+    counts sum to the weights' sum, times K when m is odd: so a negative
+    weight is a negative count, and the weights' running sum checks the total.
+    """
+    total = 0
+    for r, w in enumerate(_weights(k)):
+        if w < 0:
+            raise DomainError("negative probability mass")
+        total += w
+        if m % 2 == 0:
+            yield w
+            if r < k:
+                yield 0
+        else:
+            if r:
+                yield w * r
+            if r < k:
+                yield w * (k - r)
+    if m % 2:
+        total *= k
+    if total != den:
+        raise DomainError(f"masses sum to {Fraction(total, den)}, not 1")
 
 
 def _weights(k: int) -> Iterator[int]:

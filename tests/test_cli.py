@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 import coinwalk
 from coinwalk import cli
 from coinwalk.cli import _SERIES_BUILDERS, _dec, _exact, main
-from coinwalk.distributions import Distribution, law
+from coinwalk.distributions import Distribution, _counts, law
 from coinwalk.qpoly import QPoly
 from coinwalk.verify import QUARANTINED, SECTIONS, ReportRow, VerifyReport, run_verify
 
@@ -74,6 +74,58 @@ class TestDist:
                 tracemalloc.stop()
         assert dist.length == 2001
         assert peak <= 1.6 * held
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_streamed_law_is_not_held(self, fmt):
+        # no law is built: the peak is a few rows' worth, far under the law's size
+        argv = ["dist", "--n", "6001", "--cumulative", "--format", fmt]
+        with open(os.devnull, "w") as sink, redirect_stdout(sink):
+            assert main(argv) == 0
+            tracemalloc.start()
+            try:
+                main(argv)
+                left, peak = tracemalloc.get_traced_memory()
+                dist = law(6001)
+                held = tracemalloc.get_traced_memory()[0] - left
+            finally:
+                tracemalloc.stop()
+        assert dist.length == 6001
+        assert peak <= 0.25 * held
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("cumulative", [False, True], ids=["mass", "cdf"])
+    def test_stream_prints_the_law(self, capsys, fmt, cumulative):
+        # the streamed table is the one the law's own integer view prints
+        for n in range(71):
+            argv = ["dist", "--n", str(n), "--format", fmt] + ["--cumulative"] * cumulative
+            code, out, err = run(capsys, *argv)
+            cli._emit_values([(n, *_counts(law(n), cumulative))], fmt)
+            assert (code, out, err) == (0, capsys.readouterr().out, ""), n
+
+    def test_stream_checks_the_masses(self, capsys, monkeypatch):
+        # weights that do not sum to the denominator fail after the last row: exit 2
+        monkeypatch.setattr("coinwalk.distributions._weights",
+                            lambda k: iter([1] * (k + 1)))
+        code, out, err = run(capsys, "dist", "--n", "6")
+        assert code == 2
+        assert len(parse_csv(out)) == 7
+        assert err == "error: masses sum to 1/16, not 1\n"
+
+    @pytest.mark.parametrize("n", [str(2**63), str(10**12)])
+    def test_size_past_memory_is_refused_before_the_header(self, n):
+        # in a child whose address space is capped near 1 GB, so that a missing
+        # guard fails here (MemoryError's message, or the timeout) instead of
+        # exhausting the machine
+        pytest.importorskip("resource")
+        code = ("import resource, sys; "
+                "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+                "from coinwalk.cli import main; sys.exit(main(sys.argv[1:]))")
+        proc = subprocess.run([sys.executable, "-c", code, "dist", "--n", n],
+                              capture_output=True, text=True, env=_coinwalk_env(), timeout=60)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith(f"error: dist --n {n} needs about ")
+        assert proc.stderr.endswith(" GiB of memory\n") and proc.stderr.count("\n") == 1
 
     def test_json_format(self, capsys):
         _, out, _ = run(capsys, "dist", "--n", "2", "--format", "json")
@@ -261,6 +313,59 @@ class TestLongIntegers:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert f"argument {name}: more than 10000 digits" in err
+
+
+class TestLagrangeSize:
+    @pytest.mark.parametrize("argv", [
+        ("--a", "1e9990", "--b", "0", "--order", "100"),
+        ("--a", "0", "--b", "1e9990", "--order", "11"),
+        ("--a=1e-5000", "--b", "0", "--order", "20"),
+    ], ids=["a", "b", "denominator"])
+    def test_order_times_digits_past_the_bound(self, capsys, argv):
+        # the last coefficient would carry more than the default order's 9 x 10,000 digits
+        code, out, err = run(capsys, "lagrange", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: coefficient ") and err.endswith(", more than 90000\n")
+
+    @pytest.mark.parametrize("argv", [("--a", "1e9990", "--b", "0", "--order", "10"),
+                                      ("--a", "1e5000", "--b", "0", "--order", "2"),
+                                      ("--a", "1e3", "--b", "1e-3", "--order", "1000")])
+    def test_within_the_bound(self, capsys, argv):
+        code, out, _ = run(capsys, "lagrange", *argv)
+        assert code == 0
+        assert out.count(",") == int(argv[-1]) - 1
+
+
+def _fresh(code, **env):
+    """Run `code` in a new interpreter with OPENBLAS_NUM_THREADS unset, then `env`."""
+    environ = _coinwalk_env()
+    environ.pop("OPENBLAS_NUM_THREADS", None)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**environ, **env}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+class TestStartup:
+    def test_package_import_loads_no_numpy(self):
+        out = _fresh("import os, sys; before = dict(os.environ); import coinwalk; "
+                     "print('numpy' in sys.modules, dict(os.environ) == before, "
+                     "coinwalk.simulate.__module__, 'numpy' in sys.modules)")
+        assert out.split() == ["False", "True", "coinwalk.montecarlo", "True"]
+
+    def test_cli_starts_numpy_with_one_blas_thread(self):
+        out = _fresh("import os, sys; import coinwalk.cli; "
+                     "print(os.environ['OPENBLAS_NUM_THREADS'], 'numpy' in sys.modules)")
+        assert out.split() == ["1", "True"]
+        if sys.platform.startswith("linux"):
+            out = _fresh("import coinwalk.cli; print(open('/proc/self/status').read())")
+            assert "\nThreads:\t1\n" in out
+
+    def test_caller_sets_the_blas_threads(self):
+        out = _fresh("import os; import coinwalk.cli; print(os.environ['OPENBLAS_NUM_THREADS'])",
+                     OPENBLAS_NUM_THREADS="3")
+        assert out == "3\n"
 
 
 class TestConditional:

@@ -6,9 +6,11 @@ from math import comb
 
 import pytest
 
+from coinwalk import distributions
 from coinwalk.distributions import (
     Distribution,
     _counts,
+    _law_counts,
     _weights,
     cdf,
     conditional_positive,
@@ -179,6 +181,47 @@ class TestLaw:
             tracemalloc.stop()
         nums, _ = pgf(dist).numerators
         assert held <= 0.6 * sum(sys.getsizeof(c) for c in nums)
+
+
+class TestLawCounts:
+    @pytest.mark.parametrize("cumulative", [False, True], ids=["mass", "cdf"])
+    def test_stream_is_the_law(self, cumulative):
+        # slot by slot, both parities, against the law built from the same stream's half
+        for m in range(301):
+            nums, den = _law_counts(m, cumulative)
+            want = cdf(law(m)) if cumulative else law(m).mass
+            assert tuple(F(c, den) for c in nums) == want, m
+
+    @pytest.mark.parametrize("m", [*range(12), 400, 401])
+    def test_law_forms_half_the_weights(self, monkeypatch, m):
+        # law reads the stream only to slot m // 2, so only w_0..w_{K//2} are formed
+        formed = []
+
+        def counted(k):
+            for w in _weights(k):
+                formed.append(w)
+                yield w
+
+        monkeypatch.setattr(distributions, "_weights", counted)
+        law(m)
+        assert len(formed) == (m + 1) // 2 // 2 + 1
+
+    @pytest.mark.parametrize("m", [5, 6])
+    @pytest.mark.parametrize("weights,message", [
+        (lambda k: iter([1] * (k + 1)), "masses sum to"),
+        (lambda k: (-w if r == 2 else w for r, w in enumerate(_weights(k))),
+         "negative probability mass"),
+    ], ids=["sum", "negative"])
+    def test_stream_checks_the_law(self, monkeypatch, m, weights, message):
+        # as Distribution checks a law: a negative count when it is read, the sum after the last
+        monkeypatch.setattr(distributions, "_weights", weights)
+        nums, _ = _law_counts(m)
+        read = []
+        with pytest.raises(DomainError, match=message):
+            for c in nums:
+                read.append(c)
+        # every slot, or the slots before w_2's first one
+        assert len(read) == (m + 1 if message == "masses sum to" else 4 - m % 2)
 
 
 def printed_law(m):
