@@ -186,6 +186,30 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a fraction: {text!r}") from None
 
 
+def _gib(size: int) -> str:
+    """`size` bytes in GiB to three significant digits, also past float range."""
+    try:
+        return f"{size / 2**30:.3g}"
+    except OverflowError:
+        exponent, mantissa = divmod(math.log10(size) - 30 * math.log10(2), 1)
+        return f"{10**mantissa:.3g}e+{exponent:.0f}"
+
+
+def _refuse_past_memory(command: str, predicted: int) -> None:
+    """Refuse a run whose predicted peak, in bytes, exceeds this machine's physical memory.
+
+    Called before any output: a process that grows by many small allocations
+    can be killed before Python sees a MemoryError.
+    """
+    try:
+        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no sysconf: only the index range bounds it
+        physical = sys.maxsize
+    if predicted > physical:
+        raise DomainError(f"{command} needs about {_gib(predicted)} GiB, more "
+                          f"than this machine's {_gib(physical)} GiB of memory")
+
+
 # The count and the prefix sum are about n bits, the row's text about 0.3 n
 # characters.  tracemalloc read a peak of 3.3-4.0 bytes per toss over the first
 # rows of dist --n 200001 and 400001 --cumulative, csv and json; the model
@@ -200,14 +224,7 @@ def cmd_dist(args) -> int:
     written, so the peak stays flat in n.  A size whose predicted peak
     exceeds this machine's physical memory is refused before the header.
     """
-    predicted = _DIST_BYTES_PER_TOSS * args.n
-    try:
-        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):  # no sysconf: only the index range bounds it
-        physical = sys.maxsize
-    if predicted > physical:
-        raise DomainError(f"dist --n {args.n} needs about {predicted / 2**30:.3g} GiB, more "
-                          f"than this machine's {physical / 2**30:.3g} GiB of memory")
+    _refuse_past_memory(f"dist --n {args.n}", _DIST_BYTES_PER_TOSS * args.n)
     _emit_values([(args.n, *_law_counts(args.n, args.cumulative))], args.format)
     return 0
 
@@ -283,7 +300,23 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+# A process running verify --max-n N --cap 16 peaked (ru_maxrss) at 30.6, 46.0,
+# 139.6 and 803 MiB at N = 64, 256, 512 and 1024.  Above the interpreter's
+# 30 MiB the peak grows 7x per doubling, on its way to the N^3 bits of the
+# lattice DP's site ints, so the model is 0.8 N^3 bytes plus 40 MiB: above every
+# anchor, and 6.4 GiB at N = 2048.  The half-line DP (ROADMAP item 9) changes
+# that growth; re-derive both constants when it lands.
+def _verify_bytes(max_n: int) -> int:
+    return max_n**3 * 4 // 5 + 40 * 2**20
+
+
 def cmd_verify(args) -> int:
+    """Run the harness and print its rows.
+
+    A --max-n whose predicted peak exceeds this machine's physical memory is
+    refused before any row.
+    """
+    _refuse_past_memory(f"verify --max-n {args.max_n}", _verify_bytes(args.max_n))
     report = run_verify(max_n=args.max_n, order=args.order, sections=args.sections,
                         cap=args.cap, strict_csaki=args.strict_csaki)
     if args.format == "text":

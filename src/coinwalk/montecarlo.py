@@ -28,19 +28,26 @@ together (and u with j between them under the non-negative rule).  So a
 Chung-Feller block feeds each pair as (0, f_j), f_j = b_2j + b_2j+1 its
 up-count, and a non-negative block as its two bits.
 Word column t of a block (word t of every walk) is made just before the
-pairs it holds, into buffers the block allocates once.  The stream is read
-shifted up one bit, W'_t = (W_t << 1) | (W_{t-1} >> 63) with W_{-1} = 0, so
-bit i of W'_t is step 64t + i and pair j sits at bits 2j, 2j+1 of
-W'_{j // 32}; bits past step m are zeroed.  For Chung-Feller one SWAR add,
-(W' & 0x55..55) + ((W' >> 1) & 0x55..55), turns every pair into a 2-bit
-field holding f_j.  The column is then transposed to 64 / w rows of the
-kernel's w-bit unsigned type (`oracle._widths(m)`; four uint16 rows for
-m = 1000), and each pair's field is shifted and masked out of its row into
-a reused buffer of that type.  A Chung-Feller pair thus costs five numpy
-calls (shift, mask, add, compare, tally), fewer at a row's ends, about 2.5
-per step.  Bits in the kernel's own width, and its int8 flag tallies, keep
-every per-pair numpy call a same-type loop.  A block holds one word column
-and its counters, so its memory does not grow with m.
+pairs it holds, `_SLICE` (2^14) walks at a time.  The stream is read shifted
+up one bit, W'_t = (W_t << 1) | (W_{t-1} >> 63) with W_{-1} = 0, so bit i of
+W'_t is step 64t + i and pair j sits at bits 2j, 2j+1 of W'_{j // 32}; bits
+past step m are zeroed.  A slice's words are the column's constant, seed +
+(t+1) * golden plus the slice's first walk's offset, added to the slice's
+lane offsets i * W * golden and mixed in place; its three uint64 buffers are
+128 KB each, and the carry W_{t-1} >> 63 is one byte per walk of the block.
+For Chung-Feller one SWAR add, (W' & 0x55..55) + ((W' >> 1) & 0x55..55),
+turns every pair into a 2-bit field holding f_j.  Each slice is then
+transposed into its columns of the block's 64 / w rows of the kernel's w-bit
+unsigned type (`oracle._widths(m)`; four uint16 rows for m = 1000), and each
+pair's field is shifted and masked out of its row into a reused buffer of
+that type.  A Chung-Feller pair thus costs five numpy calls (shift, mask,
+add, compare, tally), fewer at a row's ends, about 2.5 per step.  Bits in
+the kernel's own width, and its int8 flag tallies, keep every per-pair numpy
+call a same-type loop.  A block holds its rows, the carry, three slice
+buffers and the kernel's counters, so its memory does not grow with m: a
+full block of m = 1000 walks peaks at about 1.5 MiB traced by tracemalloc
+(1.8 MiB under the non-negative rule), where a whole 64-bit column with a
+64-bit carry took 3.0 MiB (3.3).
 The independent references are `walk_steps`, which rebuilds any sample's steps in
 plain Python, and `count_positive`, the per-path rule the tests re-count walks
 with.  Floating point appears only in the reporting helpers (`tv_distance`,
@@ -64,6 +71,10 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _MASK64 = (1 << 64) - 1
 _EVEN_BITS = 0x5555555555555555  # the low bit of every 2-bit field
+# walks per slice of a word column: its three uint64 buffers (lane offsets,
+# words, spare) are 128 KB each and stay cache-resident, which measured no
+# slower than making the block's whole 2 MB column at once
+_SLICE = 1 << 14
 
 
 def splitmix64(seed: int, index: int) -> int:
@@ -132,33 +143,42 @@ def _block_pairs(seed: int, m: int, start: int, stop: int, split: bool):
     width = np.iinfo(unsigned).bits
     little = np.dtype(unsigned).newbyteorder("<")
     size = stop - start
-    # word t of walk j is mix(seed + (t + 1) * golden + j * (w * golden))
-    lanes = np.arange(start, stop, dtype=np.uint64)
-    lanes *= np.uint64(w * _GOLDEN & _MASK64)
-    words = np.empty(size, np.uint64)  # W'_t: step 64t + i at bit i
-    spare = np.empty(size, np.uint64)
-    carry = np.zeros(size, np.uint64)  # W_{t-1} >> 63: step 64t
+    # word t of walk j is mix(seed + (t + 1) * golden + j * (w * golden)); a slice
+    # adds its first walk's share to the column's constant and i * (w * golden)
+    # to its walk i
+    stride = w * _GOLDEN & _MASK64
+    lanes = np.arange(min(_SLICE, size), dtype=np.uint64)
+    lanes *= np.uint64(stride)
+    words = np.empty_like(lanes)  # W'_t of a slice: step 64t + i at bit i
+    spare = np.empty_like(lanes)
+    carry = np.zeros(size, np.uint8)  # W_{t-1} >> 63: step 64t
     rows = np.empty((64 // width, size), unsigned)
     x = np.empty(size, unsigned) if split else None
     y = np.empty(size, unsigned)
     for t in range(m // 64 + 1):  # W'_t holds pairs 32t..32t+31
-        if t < w:
-            np.add(lanes, np.uint64((seed + (t + 1) * _GOLDEN) & _MASK64), out=words)
-            _mix_block(words, spare)
-            np.right_shift(words, 63, out=spare)
-            words <<= np.uint64(1)
-            words |= carry
-            carry, spare = spare, carry
-        else:  # m = 64t: W'_t is step m alone, the carry of the last word
-            np.copyto(words, carry)
-        if m - 64 * t < 63:  # steps past m are zero
-            words &= np.uint64((2 << (m - 64 * t)) - 1)
-        if not split:  # 2-bit fields f_j = b_2j + b_2j+1
-            np.right_shift(words, 1, out=spare)
-            spare &= np.uint64(_EVEN_BITS)
-            words &= np.uint64(_EVEN_BITS)
-            words += spare
-        np.copyto(rows, words.astype("<u8", copy=False).view(little).reshape(-1, 64 // width).T)
+        column = (seed + (t + 1) * _GOLDEN) & _MASK64
+        for a in range(0, size, _SLICE):
+            b = min(a + _SLICE, size)
+            word, more = words[:b - a], spare[:b - a]
+            if t < w:
+                np.add(lanes[:b - a], np.uint64((column + (start + a) * stride) & _MASK64),
+                       out=word)
+                _mix_block(word, more)
+                np.right_shift(word, 63, out=more)
+                word <<= np.uint64(1)
+                word |= carry[a:b]
+                np.copyto(carry[a:b], more)
+            else:  # m = 64t: W'_t is step m alone, the carry of the last word
+                np.copyto(word, carry[a:b])
+            if m - 64 * t < 63:  # steps past m are zero
+                word &= np.uint64((2 << (m - 64 * t)) - 1)
+            if not split:  # 2-bit fields f_j = b_2j + b_2j+1
+                np.right_shift(word, 1, out=more)
+                more &= np.uint64(_EVEN_BITS)
+                word &= np.uint64(_EVEN_BITS)
+                word += more
+            np.copyto(rows[:, a:b],
+                      word.astype("<u8", copy=False).view(little).reshape(-1, 64 // width).T)
         for bit in range(0, min(64, m - 64 * t + 1), 2):
             row, shift = rows[bit // width], bit % width
             if split:

@@ -111,21 +111,17 @@ class TestDist:
         assert len(parse_csv(out)) == 7
         assert err == "error: masses sum to 1/16, not 1\n"
 
-    @pytest.mark.parametrize("n", [str(2**63), str(10**12)])
+    @pytest.mark.parametrize("n", [str(2**63), str(10**12), str(10**400)])
     def test_size_past_memory_is_refused_before_the_header(self, n):
-        # in a child whose address space is capped near 1 GB, so that a missing
-        # guard fails here (MemoryError's message, or the timeout) instead of
-        # exhausting the machine
-        pytest.importorskip("resource")
-        code = ("import resource, sys; "
-                "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
-                "from coinwalk.cli import main; sys.exit(main(sys.argv[1:]))")
-        proc = subprocess.run([sys.executable, "-c", code, "dist", "--n", n],
-                              capture_output=True, text=True, env=_coinwalk_env(), timeout=60)
+        proc = _run_capped("dist", "--n", n)
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr.startswith(f"error: dist --n {n} needs about ")
         assert proc.stderr.endswith(" GiB of memory\n") and proc.stderr.count("\n") == 1
+
+    def test_predicted_size_prints_past_float_range(self):
+        assert cli._gib(3 * 2**29) == "1.5"
+        assert cli._gib(8 * 10**400) == "7.45e+391"
 
     def test_json_format(self, capsys):
         _, out, _ = run(capsys, "dist", "--n", "2", "--format", "json")
@@ -493,6 +489,21 @@ class TestVerify:
         assert code == 0
         assert all(r["status"] == "ok" for r in rows)
 
+    @pytest.mark.parametrize("max_n", [str(10**20), str(10**6)])
+    def test_size_past_memory_is_refused_before_any_row(self, max_n):
+        proc = _run_capped("verify", "--max-n", max_n, "--format", "csv")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith(f"error: verify --max-n {max_n} needs about ")
+        assert proc.stderr.endswith(" GiB of memory\n") and proc.stderr.count("\n") == 1
+
+    def test_memory_model_covers_the_measured_peaks(self):
+        # whole-process peaks (ru_maxrss, KiB) of verify --max-n N --cap 16; the
+        # guard must not refuse N = 2048 on an 8 GB machine, where the model says it fits
+        for max_n, peak in ((64, 31_384), (256, 47_140), (512, 142_984), (1024, 822_132)):
+            assert cli._verify_bytes(max_n) >= peak * 1024
+        assert cli._verify_bytes(2048) < 8 * 10**9
+
 
 class TestBenchmarkOkRows:
     # the (route, n) rows the benchmark's verify checks require to stay ok, read only
@@ -620,7 +631,8 @@ class TestUsageErrors:
     @pytest.mark.parametrize("argv,builder", [
         (("series", "--order", "1000000000000"), "series"),
         (("pgf", "--n", "1000000000000", "--method", "dp"), "dp_pgf"),
-        (("verify", "--max-n", "1000000000000"), "run_verify"),
+        # a size the memory model lets through: larger ones are refused before run_verify
+        (("verify", "--max-n", "1024"), "run_verify"),
     ])
     def test_memory_error_is_a_usage_error(self, capsys, monkeypatch, argv, builder):
         # exit 1 means "routes disagree"; a size past memory is exit 2, with no traceback
@@ -657,6 +669,20 @@ def _coinwalk_env():
     src = os.path.dirname(os.path.dirname(coinwalk.__file__))
     return dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+def _run_capped(*argv):
+    """Run `coinwalk *argv` in a child whose address space is capped at 1 GiB.
+
+    A size whose up-front refusal is lost then fails the caller's test
+    (MemoryError's message, or the timeout) instead of exhausting the machine.
+    """
+    pytest.importorskip("resource")
+    code = ("import resource, sys; "
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+            "from coinwalk.cli import main; sys.exit(main(sys.argv[1:]))")
+    return subprocess.run([sys.executable, "-c", code, *argv],
+                          capture_output=True, text=True, env=_coinwalk_env(), timeout=60)
 
 
 class TestClosedStdout:
@@ -755,12 +781,14 @@ class TestNoTraceback:
         ["series", "--order", str(2**63)],
         ["pgf", "--n", str(10**20), "--method", "dp"],
     ], ids=" ".join)
-    def test_size_past_index_range(self, capsys, argv):
-        # OverflowError from a size no index can hold is a usage error, not a disagreement
-        code, out, err = run(capsys, *argv)
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: ") and len(err.splitlines()) == 1
+    def test_size_past_index_range(self, argv):
+        # OverflowError from a size no index can hold is a usage error, not a
+        # disagreement; refused up front, before memory runs out
+        proc = _run_capped(*argv)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
+        assert "out of memory" not in proc.stderr
 
 
 _SMALL = st.integers(0, 70).map(str)

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -58,6 +59,33 @@ class TestDeterminism:
         hists = {block: simulate_in_blocks(monkeypatch, cfg, block)
                  for block in (1, 7, 64, 501, 1 << 16)}
         assert len(set(hists.values())) == 1
+
+    @pytest.mark.parametrize("m", [19, 63, 64, 65, 129, 200])
+    @pytest.mark.parametrize("rule", [CF, NN], ids=["cf", "nonneg"])
+    def test_slice_layout_invisible(self, monkeypatch, m, rule):
+        # a word column made in slices of 1, 7, 64 or 501 walks, the last one
+        # shorter than the rest (501 = 7 * 71 + 4 = 64 * 7 + 53), equals the
+        # column made in one piece
+        cfg = SimConfig(m=m, samples=501, seed=9, rule=rule)
+        monkeypatch.setattr(montecarlo, "_SLICE", 1 << 16)
+        whole = simulate_in_blocks(monkeypatch, cfg, 1 << 16)
+        for piece in (1, 7, 64, 501):
+            monkeypatch.setattr(montecarlo, "_SLICE", piece)
+            for block in (7, 501, 1 << 16):
+                assert simulate_in_blocks(monkeypatch, cfg, block) == whole, (piece, block)
+
+    @pytest.mark.parametrize("rule", [CF, NN], ids=["cf", "nonneg"])
+    def test_one_block_memory(self, rule):
+        # a block's word column is made a slice at a time with a one-byte carry
+        # per walk: about 1.5 (cf) and 1.8 MiB (nonneg) traced, against 3.0 and
+        # 3.3 MiB for four 64-bit buffers as long as the block
+        tracemalloc.start()
+        try:
+            simulate(SimConfig(m=1000, samples=1 << 16, seed=1, rule=rule))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.25 * 2**20
 
     def test_oversized_block_is_clamped_not_trusted(self, monkeypatch):
         cfg = SimConfig(m=19, samples=101, seed=9)
