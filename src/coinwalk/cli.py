@@ -229,7 +229,25 @@ def cmd_dist(args) -> int:
     return 0
 
 
+# pgf --n N --method dp peaked (ru_maxrss) at 43.1, 128.3 and 763 MiB at
+# N = 512, 1024 and 2048, the most of text and csv: the DP's table and packed
+# sites grow toward N^3/11 bytes, so that model is N^3/10 bytes plus 40 MiB.
+# With --method closed the law's N//2 + 1 counts of about N bits hold N^2/16
+# bytes, but the text form's digits set the peak, 41.0, 76.6 and 225.1 MiB at
+# N = 4000, 8000 and 16000, so that model is N^2 bytes plus 40 MiB.
+_PGF_BYTES = {"dp": lambda n: n**3 // 10 + 40 * 2**20,
+              "closed": lambda n: n**2 + 40 * 2**20}
+
+
 def cmd_pgf(args) -> int:
+    """Print p(n, 0) by one route.
+
+    A dp or closed size whose predicted peak exceeds this machine's physical
+    memory is refused before anything is built.
+    """
+    if args.method in _PGF_BYTES:
+        _refuse_past_memory(f"pgf --n {args.n} --method {args.method}",
+                            _PGF_BYTES[args.method](args.n))
     if args.method == "closed":
         poly = pgf(law(args.n))
     elif args.method == "dp":
@@ -300,14 +318,15 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-# A process running verify --max-n N --cap 16 peaked (ru_maxrss) at 30.6, 46.0,
-# 139.6 and 803 MiB at N = 64, 256, 512 and 1024.  Above the interpreter's
-# 30 MiB the peak grows 7x per doubling, on its way to the N^3 bits of the
-# lattice DP's site ints, so the model is 0.8 N^3 bytes plus 40 MiB: above every
-# anchor, and 6.4 GiB at N = 2048.  The half-line DP (ROADMAP item 9) changes
-# that growth; re-derive both constants when it lands.
+# A process running verify --max-n N --cap 16 peaked (ru_maxrss) at 30.5, 46.7,
+# 140.9 and 791.8 MiB at N = 64, 256, 512 and 1024, the most of text, csv and
+# json.  The lattice DP is no longer what sets it: text peaks at 356.6 MiB at
+# 1024, and csv and json hold every distinct payload's text until the report
+# is out.  Above the interpreter's 30 MiB the peak grows about 7x per doubling,
+# so the model is 0.75 N^3 bytes plus 48 MiB, the line through the 512 and
+# 1024 peaks rounded up: above every anchor, and 6.05 GiB at N = 2048.
 def _verify_bytes(max_n: int) -> int:
-    return max_n**3 * 4 // 5 + 40 * 2**20
+    return max_n**3 * 3 // 4 + 48 * 2**20
 
 
 def cmd_verify(args) -> int:

@@ -150,6 +150,22 @@ class TestPgf:
         rows = parse_csv(out)
         assert [r["exact"] for r in rows] == ["1/2", "0", "1/2"]
 
+    @pytest.mark.parametrize("n,method", [("1000000", "dp"), ("100000000", "closed")])
+    def test_size_past_memory_is_refused_before_any_output(self, n, method):
+        proc = _run_capped("pgf", "--n", n, "--method", method)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith(f"error: pgf --n {n} --method {method} needs about ")
+        assert proc.stderr.endswith(" GiB of memory\n") and proc.stderr.count("\n") == 1
+
+    def test_memory_model_covers_the_measured_peaks(self):
+        # whole-process peaks (ru_maxrss, KiB) of pgf --n N --method M, the most
+        # of text and csv
+        for method, n, peak in (("dp", 512, 44_180), ("dp", 1024, 131_352),
+                                ("dp", 2048, 781_316), ("closed", 4000, 41_968),
+                                ("closed", 8000, 78_452), ("closed", 16000, 230_544)):
+            assert cli._PGF_BYTES[method](n) >= peak * 1024
+
 
 class TestLagrange:
     def test_all_ones(self, capsys):
@@ -500,7 +516,7 @@ class TestVerify:
     def test_memory_model_covers_the_measured_peaks(self):
         # whole-process peaks (ru_maxrss, KiB) of verify --max-n N --cap 16; the
         # guard must not refuse N = 2048 on an 8 GB machine, where the model says it fits
-        for max_n, peak in ((64, 31_384), (256, 47_140), (512, 142_984), (1024, 822_132)):
+        for max_n, peak in ((64, 31_188), (256, 47_772), (512, 144_328), (1024, 810_792)):
             assert cli._verify_bytes(max_n) >= peak * 1024
         assert cli._verify_bytes(2048) < 8 * 10**9
 
@@ -630,8 +646,9 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("argv,builder", [
         (("series", "--order", "1000000000000"), "series"),
-        (("pgf", "--n", "1000000000000", "--method", "dp"), "dp_pgf"),
-        # a size the memory model lets through: larger ones are refused before run_verify
+        # sizes the memory models let through: larger ones are refused before
+        # dp_pgf or run_verify
+        (("pgf", "--n", "2048", "--method", "dp"), "dp_pgf"),
         (("verify", "--max-n", "1024"), "run_verify"),
     ])
     def test_memory_error_is_a_usage_error(self, capsys, monkeypatch, argv, builder):

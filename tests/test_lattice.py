@@ -1,3 +1,5 @@
+import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -62,10 +64,13 @@ def dp_step(prev: LatticeSlice) -> LatticeSlice:
 
 class TestReference:
     def test_table_matches_slice_recursion(self):
-        cur = initial_slice()
-        for n in range(41):
-            assert TABLE[n] == cur.value(0)
+        # every n_max has its own slot width and diamond window
+        cur, reference = initial_slice(), []
+        for _ in range(41):
+            reference.append(cur.value(0))
             cur = dp_step(cur)
+        for n_max in range(41):
+            assert dp_pgf_table(n_max) == reference[:n_max + 1], n_max
 
     @pytest.fixture(scope="class")
     def table_257(self):
@@ -74,6 +79,30 @@ class TestReference:
     @pytest.mark.parametrize("m", [255, 256, 257])
     def test_matches_law_at_256(self, table_257, m):
         assert table_257[m] == pgf(law(m))
+
+
+def _tie_rule_count(x: int, steps) -> int:
+    """Positive steps of the walk x, x + s_1, ...: a step counts when it ends
+    above 0, or ends at 0 coming from above."""
+    count = 0
+    for s in steps:
+        count += x + s > 0 or x > 0
+        x += s
+    return count
+
+
+def _count_law(x: int, n: int) -> Counter:
+    """How many of the 2^n paths from x have each positive-step count."""
+    return Counter(_tie_rule_count(x, steps) for steps in itertools.product((-1, 1), repeat=n))
+
+
+class TestReflection:
+    # the packed sweep reads P(n, x) for x > 0 off P(n, -x); check that by brute force
+    @pytest.mark.parametrize("n", range(11))
+    def test_negated_start_mirrors_the_count(self, n):
+        laws = {x: _count_law(x, n) for x in range(-(n + 1), n + 2)}
+        for x, counts in laws.items():
+            assert Counter({n - c: k for c, k in counts.items()}) == laws[-x], x
 
 
 class TestStep:

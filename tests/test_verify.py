@@ -251,6 +251,13 @@ class TestRunVerify:
         assert bad == []
         assert {r.n for r in rows_by_route(report, "series")} == set(range(257))
 
+    def test_agreement_at_n_512(self):
+        report = run_verify(max_n=512, order=513, cap=16)
+        bad = [r for r in report.rows
+               if r.status.startswith("mismatch") and r.route not in ("csaki", "ratio-form")]
+        assert bad == []
+        assert {r.n for r in rows_by_route(report, "series")} == set(range(513))
+
     @pytest.mark.parametrize("max_n", range(13))
     def test_section_is_the_full_run_filtered_to_its_routes(self, max_n):
         def section(row):
