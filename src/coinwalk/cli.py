@@ -36,7 +36,7 @@ from .lattice import dp_pgf
 from .legendre import lagrange_series
 from .montecarlo import SimConfig, arcsine_sup_distance, simulate, tv_distance
 from .oracle import DEFAULT_CAP, PositivityRule, oracle_conditional, oracle_distribution
-from .qpoly import QPoly
+from .qpoly import _exact, _terms
 from .series import (
     nonneg_series,
     pgf_series,
@@ -59,45 +59,19 @@ _SERIES_BUILDERS = {
 _RULES = {"cf": PositivityRule.CHUNG_FELLER, "nonneg": PositivityRule.NON_NEGATIVE}
 
 
-def _exact(num: int, den: int, dens: dict[int, str]) -> str:
-    """str(Fraction(num, den)) for den > 0, without a gcd of two full-width ints.
-
-    The common power of two is shifted out first; the gcd is then taken with
-    den's odd part, which is 1 or n+1 for every law here.  `dens` memoizes
-    the reduced denominators' strings.
-    """
-    if not num:
-        return "0"
-    twos = min((num & -num).bit_length(), (den & -den).bit_length()) - 1
-    num >>= twos
-    den >>= twos
-    g = math.gcd(num, den >> ((den & -den).bit_length() - 1))
-    if g != 1:
-        num //= g
-        den //= g
-    if den == 1:
-        return str(num)
-    text = dens.get(den)
-    if text is None:
-        text = dens[den] = str(den)
-    return f"{num}/{text}"
-
-
 def _report_rows(rows: Iterable[ReportRow]) -> Iterable[tuple]:
     """Verify rows as (route, n, payload, status); a payload is got zero-padded to size.
 
-    Agreeing routes of one length print the same payload, so each distinct
-    (got, size) is rendered once, for this report only.
+    Agreeing routes of one length share one polynomial object, so a row whose
+    got is the previous row's, at the same size, reuses its payload.  No other
+    payload is kept, and the last one is let go before the next is rendered.
     """
-    payloads: dict[tuple[QPoly, int], str] = {}
-    dens: dict[int, str] = {}
+    got = size = payload = None
     for row in rows:
-        key = (row.got, row.size)
-        payload = payloads.get(key)
-        if payload is None:
-            nums, den = row.got.numerators
-            payload = payloads[key] = ",".join(
-                [_exact(c, den, dens) for c in nums] + ["0"] * (row.size - len(nums)))
+        if row.got is not got or row.size != size:
+            got, size, payload, dens = row.got, row.size, None, {}
+            nums, den = got.numerators
+            payload = ",".join([_exact(c, den, dens) for c in nums] + ["0"] * (size - len(nums)))
         yield row.route, row.n, payload, row.status
 
 
@@ -229,21 +203,38 @@ def cmd_dist(args) -> int:
     return 0
 
 
+# series --which W --order K holds K coefficients of degree up to K whose
+# numerators grow to about K bits, so each builder's model is K^3 bytes over a
+# divisor plus 40 MiB.  The peaks (ru_maxrss) at K = 256, 512 and 1024 were
+# 29.9, 32.7 and 50.7 MiB for even; 32.3, 46.5 and 134.3 for odd; 31.3, 41.5
+# and 100.3 for odd-ratio; 32.4, 46.5 and 134.3 for full; 34.2, 56.2 and 190.2
+# for csaki; ratio, which takes about 12x the time per doubling, 30.0, 32.9
+# and 49.4 MiB at K = 128, 256 and 512.  Each divisor is below the one the
+# model would need to meet the builder's largest anchor.
+_SERIES_DIVISORS = {"even": 64, "odd": 8, "odd-ratio": 12, "full": 8, "ratio": 8, "csaki": 5}
+
+
+def _series_bytes(which: str, order: int) -> int:
+    return order**3 // _SERIES_DIVISORS[which] + 40 * 2**20
+
+
 # pgf --n N --method dp peaked (ru_maxrss) at 43.1, 128.3 and 763 MiB at
 # N = 512, 1024 and 2048, the most of text and csv: the DP's table and packed
 # sites grow toward N^3/11 bytes, so that model is N^3/10 bytes plus 40 MiB.
 # With --method closed the law's N//2 + 1 counts of about N bits hold N^2/16
-# bytes, but the text form's digits set the peak, 41.0, 76.6 and 225.1 MiB at
-# N = 4000, 8000 and 16000, so that model is N^2 bytes plus 40 MiB.
+# bytes; text and csv are written a term or a row at a time, and both peaked
+# at 29.3, 31.0 and 37.4 MiB at N = 4000, 8000 and 16000, so that model is
+# N^2/8 bytes plus 40 MiB.  --method series builds the full series to N + 1.
 _PGF_BYTES = {"dp": lambda n: n**3 // 10 + 40 * 2**20,
-              "closed": lambda n: n**2 + 40 * 2**20}
+              "closed": lambda n: n**2 // 8 + 40 * 2**20,
+              "series": lambda n: _series_bytes("full", n + 1)}
 
 
 def cmd_pgf(args) -> int:
     """Print p(n, 0) by one route.
 
-    A dp or closed size whose predicted peak exceeds this machine's physical
-    memory is refused before anything is built.
+    A dp, closed or series size whose predicted peak exceeds this machine's
+    physical memory is refused before anything is built.
     """
     if args.method in _PGF_BYTES:
         _refuse_past_memory(f"pgf --n {args.n} --method {args.method}",
@@ -256,14 +247,22 @@ def cmd_pgf(args) -> int:
         poly = pgf_series(args.n + 1).coeff(args.n)
     else:
         poly = pgf(oracle_distribution(args.n, PositivityRule.CHUNG_FELLER, cap=args.cap))
-    if args.format == "text":
-        print(poly)
+    if args.format == "text":  # a term at a time: the whole text is never held
+        for piece in chain(_terms(poly), ("\n",)):
+            sys.stdout.write(piece)
         return 0
     _emit_values([(args.n, *poly.numerators)], args.format)
     return 0
 
 
 def cmd_series(args) -> int:
+    """Print every coefficient of one expansion to --order.
+
+    An order whose predicted peak exceeds this machine's physical memory is
+    refused before the series is built.
+    """
+    _refuse_past_memory(f"series --which {args.which} --order {args.order}",
+                        _series_bytes(args.which, args.order))
     series = _SERIES_BUILDERS[args.which](args.order)
     _emit_values(((n, *poly.numerators) for n, poly in enumerate(series.coeffs)),
                  args.format)
@@ -318,15 +317,14 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-# A process running verify --max-n N --cap 16 peaked (ru_maxrss) at 30.5, 46.7,
-# 140.9 and 791.8 MiB at N = 64, 256, 512 and 1024, the most of text, csv and
-# json.  The lattice DP is no longer what sets it: text peaks at 356.6 MiB at
-# 1024, and csv and json hold every distinct payload's text until the report
-# is out.  Above the interpreter's 30 MiB the peak grows about 7x per doubling,
-# so the model is 0.75 N^3 bytes plus 48 MiB, the line through the 512 and
-# 1024 peaks rounded up: above every anchor, and 6.05 GiB at N = 2048.
+# A process running verify --max-n N --cap 16 peaked (ru_maxrss) at 31.2, 39.2,
+# 79.9 and 357.9 MiB at N = 64, 256, 512 and 1024, the most of text, csv and
+# json, which are within 0.1% of each other: csv and json hold one payload at
+# a time.  Above the interpreter's 30 MiB the peak grows about 6.6x per
+# doubling, so the model is N^3/3 bytes plus 48 MiB, the N^3 line through the
+# 1024 peak rounded up: above every anchor, and 2.71 GiB at N = 2048.
 def _verify_bytes(max_n: int) -> int:
-    return max_n**3 * 3 // 4 + 48 * 2**20
+    return max_n**3 // 3 + 48 * 2**20
 
 
 def cmd_verify(args) -> int:

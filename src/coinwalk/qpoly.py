@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Union
 
 from .errors import DomainError, InexactDivision
 
@@ -283,22 +283,51 @@ def _add(x: QPoly, y: QPoly, sign: int) -> QPoly:
     return QPoly._make(out, x._den * fa)
 
 
+def _exact(num: int, den: int, dens: dict[int, str]) -> str:
+    """str(Fraction(num, den)) for den > 0, without a gcd of two full-width ints.
+
+    The one renderer of an exact rational.  The common power of two is
+    shifted out first; the gcd is then taken with den's odd part alone,
+    cheap when that part is small, as for every dyadic law.  `dens`
+    memoizes the reduced denominators' strings.
+    """
+    if not num:
+        return "0"
+    twos = min((num & -num).bit_length(), (den & -den).bit_length()) - 1
+    num >>= twos
+    den >>= twos
+    g = math.gcd(num, den >> ((den & -den).bit_length() - 1))
+    if g != 1:
+        num //= g
+        den //= g
+    if den == 1:
+        return str(num)
+    text = dens.get(den)
+    if text is None:
+        text = dens[den] = str(den)
+    return f"{num}/{text}"
+
+
 def format_poly(poly: QPoly) -> str:
     """Render like '3/8 + 1/8 q + 1/8 q^2 + 3/8 q^3' (zero terms skipped)."""
-    if poly.is_zero():
-        return "0"
-    parts: list[str] = []
-    for i, c in enumerate(poly.coeffs):
+    return "".join(_terms(poly))
+
+
+def _terms(poly: QPoly) -> Iterator[str]:
+    """format_poly's text a term at a time, each rendered from the integer numerators."""
+    nums, den = poly.numerators
+    if not nums:
+        yield "0"
+    dens: dict[int, str] = {}
+    signs = ("", "-")
+    for i, c in enumerate(nums):
         if not c:
             continue
         mag = abs(c)
         if i == 0:
-            body = str(mag)
+            body = _exact(mag, den, dens)
         else:
             pw = "q" if i == 1 else f"q^{i}"
-            body = pw if mag == 1 else f"{mag} {pw}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts)
+            body = pw if mag == den else f"{_exact(mag, den, dens)} {pw}"
+        yield signs[c < 0] + body
+        signs = (" + ", " - ")

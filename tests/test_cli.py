@@ -1,3 +1,4 @@
+import collections
 import csv
 import hashlib
 import io
@@ -150,7 +151,8 @@ class TestPgf:
         rows = parse_csv(out)
         assert [r["exact"] for r in rows] == ["1/2", "0", "1/2"]
 
-    @pytest.mark.parametrize("n,method", [("1000000", "dp"), ("100000000", "closed")])
+    @pytest.mark.parametrize("n,method", [("1000000", "dp"), ("100000000", "closed"),
+                                          ("1000000", "series")])
     def test_size_past_memory_is_refused_before_any_output(self, n, method):
         proc = _run_capped("pgf", "--n", n, "--method", method)
         assert proc.returncode == 2
@@ -158,12 +160,30 @@ class TestPgf:
         assert proc.stderr.startswith(f"error: pgf --n {n} --method {method} needs about ")
         assert proc.stderr.endswith(" GiB of memory\n") and proc.stderr.count("\n") == 1
 
+    def test_text_is_written_a_term_at_a_time(self):
+        # the text form holds one term at a time, as the csv table holds one row
+        peaks = {}
+        for fmt in ("csv", "text"):
+            argv = ["pgf", "--n", "4000", "--format", fmt]
+            with redirect_stdout(_CountingSink()) as sink:
+                assert main(argv) == 0  # warm-up: lazily built state is not the text's
+                tracemalloc.start()
+                try:
+                    main(argv)
+                    peaks[fmt] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            assert sink.chars > 2 * 4_800_000  # two runs of about 4.8 MB each
+        assert peaks["text"] < 1.5 * peaks["csv"]
+
     def test_memory_model_covers_the_measured_peaks(self):
         # whole-process peaks (ru_maxrss, KiB) of pgf --n N --method M, the most
         # of text and csv
         for method, n, peak in (("dp", 512, 44_180), ("dp", 1024, 131_352),
-                                ("dp", 2048, 781_316), ("closed", 4000, 41_968),
-                                ("closed", 8000, 78_452), ("closed", 16000, 230_544)):
+                                ("dp", 2048, 781_316), ("closed", 4000, 30_008),
+                                ("closed", 8000, 31_784), ("closed", 16000, 38_324),
+                                ("series", 255, 33_036), ("series", 511, 47_448),
+                                ("series", 1023, 137_352)):
             assert cli._PGF_BYTES[method](n) >= peak * 1024
 
 
@@ -245,6 +265,20 @@ class TestValueColumns:
             F.__new__ = original
         capsys.readouterr()
         assert counts[0] == counts[1]  # as many Fractions for 14 rows as for 7
+
+
+class _CountingSink:
+    """A stdout that keeps only how many characters were written to it."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+        return len(text)
+
+    def flush(self):
+        pass
 
 
 def _emitted_csv(header, rows):
@@ -409,6 +443,27 @@ class TestSeries:
         assert rows[0] == {"n": 0, "index": 0, "exact": "0", "decimal": "0"}
         assert rows[3] == {"n": 2, "index": 0, "exact": "0", "decimal": "0"}
 
+    def test_size_past_memory_is_refused_before_any_output(self):
+        proc = _run_capped("series", "--order", "1000000")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: series --which full --order 1000000 needs about ")
+        assert proc.stderr.endswith(" GiB of memory\n") and proc.stderr.count("\n") == 1
+
+    def test_memory_model_covers_the_measured_peaks(self):
+        # whole-process peaks (ru_maxrss, KiB) of series --which W --order K
+        for which, peaks in (("even", (30_580, 33_520, 51_908)),
+                             ("odd", (33_064, 47_628, 137_540)),
+                             ("odd-ratio", (32_036, 42_508, 102_752)),
+                             ("full", (33_188, 47_632, 137_504)),
+                             ("csaki", (35_008, 57_588, 194_724))):
+            for order, peak in zip((256, 512, 1024), peaks):
+                assert cli._series_bytes(which, order) >= peak * 1024
+        # ratio takes about 12x the time per doubling: measured to 512
+        for order, peak in ((128, 30_764), (256, 33_652), (512, 50_548)):
+            assert cli._series_bytes("ratio", order) >= peak * 1024
+        assert set(cli._SERIES_DIVISORS) == set(_SERIES_BUILDERS)
+
 
 class TestOracle:
     def test_walk_past_32_steps_limited_by_cap(self, capsys, monkeypatch):
@@ -516,7 +571,7 @@ class TestVerify:
     def test_memory_model_covers_the_measured_peaks(self):
         # whole-process peaks (ru_maxrss, KiB) of verify --max-n N --cap 16; the
         # guard must not refuse N = 2048 on an 8 GB machine, where the model says it fits
-        for max_n, peak in ((64, 31_188), (256, 47_772), (512, 144_328), (1024, 810_792)):
+        for max_n, peak in ((64, 31_900), (256, 40_184), (512, 81_772), (1024, 366_512)):
             assert cli._verify_bytes(max_n) >= peak * 1024
         assert cli._verify_bytes(2048) < 8 * 10**9
 
@@ -536,8 +591,9 @@ class TestBenchmarkOkRows:
 
 
 class TestVerifyRendering:
-    def test_text_renders_nothing_and_json_each_payload_once(self, capsys, monkeypatch):
-        # rows hold polynomials; only the csv and json writers render them
+    def test_text_renders_nothing_and_json_each_run_of_rows_once(self, capsys, monkeypatch):
+        # rows hold polynomials; only the csv and json writers render them, once
+        # per run of consecutive rows holding the same polynomial object at one size
         calls = []
         exact = cli._exact
         monkeypatch.setattr(cli, "_exact", lambda *args: calls.append(args) or exact(*args))
@@ -546,8 +602,23 @@ class TestVerifyRendering:
         assert calls == []
         assert main([*argv, "--format", "json"]) == 0
         capsys.readouterr()
-        distinct = {(row.got, row.size) for row in run_verify(max_n=8, order=9).rows}
-        assert len(calls) == sum(len(got.numerators[0]) for got, _ in distinct) > 0
+        rows = run_verify(max_n=8, order=9).rows
+        runs = [row for last, row in zip((None, *rows), rows)
+                if last is None or row.got is not last.got or row.size != last.size]
+        assert len(calls) == sum(len(row.got.numerators[0]) for row in runs) > 0
+
+    def test_payloads_are_not_kept(self):
+        # the writer's consumer drops each row as it comes, so the peak is what the
+        # rows' renderer holds: one payload as it is built, not the report's
+        rows = run_verify(max_n=192, cap=8).rows
+        longest = max(len(payload) for _, _, payload, _ in cli._report_rows(rows))
+        tracemalloc.start()
+        try:
+            collections.deque(cli._report_rows(rows), maxlen=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * longest
 
 
 class TestPinnedOutput:
@@ -645,9 +716,9 @@ class TestUsageErrors:
         assert err.startswith("error: ") and "Traceback" not in err
 
     @pytest.mark.parametrize("argv,builder", [
-        (("series", "--order", "1000000000000"), "series"),
         # sizes the memory models let through: larger ones are refused before
-        # dp_pgf or run_verify
+        # the series builder, dp_pgf or run_verify
+        (("series", "--order", "1024"), "series"),
         (("pgf", "--n", "2048", "--method", "dp"), "dp_pgf"),
         (("verify", "--max-n", "1024"), "run_verify"),
     ])

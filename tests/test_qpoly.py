@@ -314,3 +314,32 @@ class TestLongDivision:
         got = (want * div).divide_exact(div)
         assert_canonical(got)
         assert got == want
+
+
+def reference_format(p):
+    """format_poly's text from one Fraction per coefficient: '3/8 - 1/8 q + q^2'."""
+    parts = []
+    for i, c in enumerate(p.coeffs):
+        if not c:
+            continue
+        mag = abs(c)
+        power = "" if i == 0 else "q" if i == 1 else f"q^{i}"
+        body = str(mag) if not power else power if mag == 1 else f"{mag} {power}"
+        sign = ("" if c > 0 else "-") if not parts else ("+ " if c > 0 else "- ")
+        parts.append(sign + body)
+    return " ".join(parts) or "0"
+
+
+# the zero polynomial, coefficients +-1 and 0, odd denominators, and long dyadic values
+format_polys = st.one_of(
+    st.just(QPoly()), small_polys, wide_polys,
+    st.lists(st.sampled_from((F(-1), F(0), F(1))), max_size=6).map(QPoly),
+    st.lists(st.builds(F, st.integers(-2**300, 2**300), st.integers(0, 300).map(lambda k: 2**k)),
+             max_size=6).map(QPoly),
+)
+
+
+class TestFormat:
+    @given(format_polys)
+    def test_matches_the_fraction_reference(self, p):
+        assert format_poly(p) == str(p) == reference_format(p)
