@@ -28,10 +28,10 @@ together (and u with j between them under the non-negative rule).  So a
 Chung-Feller block feeds each pair as (0, f_j), f_j = b_2j + b_2j+1 its
 up-count, and a non-negative block as its two bits.
 Word column t of a block (word t of every walk) is made just before the
-pairs it holds, `_SLICE` (2^14) walks at a time.  The stream is read shifted
-up one bit, W'_t = (W_t << 1) | (W_{t-1} >> 63) with W_{-1} = 0, so bit i of
-W'_t is step 64t + i and pair j sits at bits 2j, 2j+1 of W'_{j // 32}; bits
-past step m are zeroed.  A slice's words are the column's constant, seed +
+pairs it holds, the kernel's `_SLICE` (2^14) walks at a time.  The stream is
+read shifted up one bit, W'_t = (W_t << 1) | (W_{t-1} >> 63) with W_{-1} = 0,
+so bit i of W'_t is step 64t + i and pair j sits at bits 2j, 2j+1 of
+W'_{j // 32}; bits past step m are zeroed.  A slice's words are the column's constant, seed +
 (t+1) * golden plus the slice's first walk's offset, added to the slice's
 lane offsets i * W * golden and mixed in place; its three uint64 buffers are
 128 KB each, and the carry W_{t-1} >> 63 is one byte per walk of the block.
@@ -47,7 +47,8 @@ call a same-type loop.  A block holds its rows, the carry, three slice
 buffers and the kernel's counters, so its memory does not grow with m: a
 full block of m = 1000 walks peaks at about 1.5 MiB traced by tracemalloc
 (1.8 MiB under the non-negative rule), where a whole 64-bit column with a
-64-bit carry took 3.0 MiB (3.3).
+64-bit carry took 3.0 MiB (3.3).  `simulate` lets each block's arrays go
+before it builds the next block, so a run of many blocks peaks as one does.
 The independent references are `walk_steps`, which rebuilds any sample's steps in
 plain Python, and `count_positive`, the per-path rule the tests re-count walks
 with.  Floating point appears only in the reporting helpers (`tv_distance`,
@@ -64,17 +65,13 @@ import numpy as np
 
 from .distributions import Distribution, _counts
 from .errors import DomainError
-from .oracle import _BLOCK, PositivityRule, _count_walks, _widths
+from .oracle import _BLOCK, _SLICE, PositivityRule, _count_walks, _widths
 
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _MASK64 = (1 << 64) - 1
 _EVEN_BITS = 0x5555555555555555  # the low bit of every 2-bit field
-# walks per slice of a word column: its three uint64 buffers (lane offsets,
-# words, spare) are 128 KB each and stay cache-resident, which measured no
-# slower than making the block's whole 2 MB column at once
-_SLICE = 1 << 14
 
 
 def splitmix64(seed: int, index: int) -> int:
@@ -212,8 +209,9 @@ def simulate(cfg: SimConfig) -> tuple[int, ...]:
     for start in range(0, cfg.samples, _BLOCK):
         stop = min(start + _BLOCK, cfg.samples)
         pairs = _block_pairs(seed, m, start, stop, cfg.rule is PositivityRule.NON_NEGATIVE)
-        (counts,), _ = _count_walks(pairs, m, stop - start, (cfg.rule,))
-        hist += np.bincount(counts, minlength=size)
+        # one expression, so that no name keeps this block's u and counts alive
+        # while the next block is built
+        hist += np.bincount(_count_walks(pairs, m, stop - start, (cfg.rule,))[0][0], minlength=size)
     return tuple(int(c) for c in hist)
 
 

