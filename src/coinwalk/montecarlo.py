@@ -31,10 +31,11 @@ Word column t of a block (word t of every walk) is made just before the
 pairs it holds, the kernel's `_SLICE` (2^14) walks at a time.  The stream is
 read shifted up one bit, W'_t = (W_t << 1) | (W_{t-1} >> 63) with W_{-1} = 0,
 so bit i of W'_t is step 64t + i and pair j sits at bits 2j, 2j+1 of
-W'_{j // 32}; bits past step m are zeroed.  A slice's words are the column's constant, seed +
-(t+1) * golden plus the slice's first walk's offset, added to the slice's
-lane offsets i * W * golden and mixed in place; its three uint64 buffers are
-128 KB each, and the carry W_{t-1} >> 63 is one byte per walk of the block.
+W'_{j // 32}; bits past step m are zeroed.  A slice's words are the
+column's constant, seed + (t+1) * golden plus the slice's first walk's
+offset, added to the slice's lane offsets i * W * golden and mixed in place;
+its three uint64 buffers are 128 KB each, and the carry W_{t-1} >> 63 is one
+byte per walk of the block.
 For Chung-Feller one SWAR add, (W' & 0x55..55) + ((W' >> 1) & 0x55..55),
 turns every pair into a 2-bit field holding f_j.  Each slice is then
 transposed into its columns of the block's 64 / w rows of the kernel's w-bit
